@@ -1,5 +1,6 @@
 //! Parallel scaling of the morsel-driven executor: SSB Q2.3 (the paper's
-//! showcase 4-way star join) at 1/2/4/8 workers.
+//! showcase 4-way star join) at 1/2/4/8 workers on a `PooledEngine` whose
+//! pool holds as many threads as the largest worker count.
 //!
 //! Prints a speedup table and writes `BENCH_PAR_SCALING.json` so future
 //! changes can track scaling regressions.
@@ -10,12 +11,13 @@
 //! ```
 
 use std::io::Write as _;
+use std::sync::Arc;
 
 use qppt_bench::{
     arg_f64, arg_str, arg_usize, arg_usize_list, ms, print_table, time_best_of, BenchDb,
 };
 use qppt_core::{PlanOptions, QpptEngine};
-use qppt_par::ParEngine;
+use qppt_par::{PooledEngine, WorkerPool};
 use qppt_ssb::queries;
 
 fn main() {
@@ -37,10 +39,11 @@ fn main() {
     }
 
     eprintln!("generating SSB at sf={sf} …");
-    let db = BenchDb::prepare(sf, 42);
+    let db = Arc::new(BenchDb::prepare(sf, 42).ssb.db);
     let spec = queries::q2_3();
-    let engine = ParEngine::new(&db.ssb.db);
-    let sequential = QpptEngine::new(&db.ssb.db)
+    let pool = WorkerPool::new(workers.iter().copied().max().unwrap_or(1), 1);
+    let engine = PooledEngine::new(db.clone(), pool.clone());
+    let sequential = QpptEngine::new(&db)
         .run(&spec, &PlanOptions::default())
         .expect("prepared query runs");
 
@@ -72,6 +75,7 @@ fn main() {
         ]);
         series.push((w, t_ms, speedup));
     }
+    pool.shutdown();
     println!("SSB Q2.3, sf={sf}, best of {reps}:");
     print_table(&["workers", "ms", "speedup", "rows"], &rows);
 

@@ -10,8 +10,16 @@
 //! 1. **uncached** — `cache=off` requests bypass the router tiers: every
 //!    request scatters to all shards and re-merges (the pre-cache router).
 //! 2. **warm** — the same load with the cache on, after one warming
-//!    sweep: merged-tier hits that touch no shard. The bench **exits
-//!    non-zero** unless warm ≥ `--min-speedup`× uncached (default 10).
+//!    sweep: merged-tier hits that touch no shard.
+//!
+//!    Phases 1 and 2 alternate over `ROUNDS` rounds, so host drift hits
+//!    both alike. In each round the clients connect *before* the clock
+//!    starts and are released together; each then issues at least
+//!    `--queries` requests and keeps going until `WINDOW` has elapsed,
+//!    so even the fast warm pass times thousands of requests rather than
+//!    thread spawn and TCP connect. The bench **exits non-zero** unless
+//!    the median per-round warm/uncached ratio is ≥ `--min-speedup`
+//!    (default 10).
 //! 3. **invalidation** — `--cycles` rounds of a real single-shard write
 //!    (stop shard 0's listener, `delete_row`, re-serve on the same
 //!    address): the next request re-fetches *only* that range and
@@ -31,7 +39,8 @@
 //! ```
 
 use std::io::Write as _;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use qppt_bench::{arg_f64, arg_str, arg_usize, print_table};
@@ -46,6 +55,13 @@ use qppt_storage::{Database, QuerySpec};
 /// The staleness bound the bench runs under — short enough that each
 /// write cycle's one sleep makes the next lookup re-probe.
 const PROBE_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Interleaved uncached/warm rounds; the gate reads their median ratio.
+const ROUNDS: usize = 5;
+
+/// Minimum timed span of one pass: long enough that even the warm pass
+/// (tens of µs per request) times thousands of requests per round.
+const WINDOW: Duration = Duration::from_millis(300);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -148,10 +164,9 @@ fn main() {
         probe.cache_clear().expect("anchor leaves a cold cache");
     }
 
-    // Phase 1+2: uncached scatter vs warm merged-tier hits.
-    eprintln!("timing the uncached scatter path …");
-    let uncached_qps = timed_pass(&raddr, &mix, clients, queries_per_client, parallelism, true);
-    eprintln!("warming and timing the cached path …");
+    // Phase 1+2: uncached scatter vs warm merged-tier hits, alternating
+    // per round. cache=off requests leave the tiers untouched, so the
+    // warming sweep below keeps every warm round warm.
     {
         let mut warmer = QpptClient::connect(&*raddr).expect("connect router");
         for q in &mix {
@@ -160,19 +175,31 @@ fn main() {
                 .expect("warm sweep");
         }
     }
-    let warm_qps = timed_pass(
-        &raddr,
-        &mix,
-        clients,
-        queries_per_client,
-        parallelism,
-        false,
-    );
-    let speedup = if uncached_qps > 0.0 {
-        warm_qps / uncached_qps
-    } else {
-        0.0
+    eprintln!("timing {ROUNDS} rounds of uncached scatter vs warm hits …");
+    let pass = |bypass: bool| {
+        timed_pass(
+            &raddr,
+            &mix,
+            clients,
+            queries_per_client,
+            WINDOW,
+            parallelism,
+            bypass,
+        )
     };
+    let mut uncached_rounds = Vec::with_capacity(ROUNDS);
+    let mut warm_rounds = Vec::with_capacity(ROUNDS);
+    let mut ratios = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        let uncached = pass(true);
+        let warm = pass(false);
+        uncached_rounds.push(uncached);
+        warm_rounds.push(warm);
+        ratios.push(if uncached > 0.0 { warm / uncached } else { 0.0 });
+    }
+    let uncached_qps = percentile(&mut uncached_rounds.clone(), 50.0);
+    let warm_qps = percentile(&mut warm_rounds.clone(), 50.0);
+    let speedup = percentile(&mut ratios.clone(), 50.0);
 
     // Phase 3: single-shard invalidation re-merge vs CACHE CLEAR
     // re-scatter, timed on the same connection.
@@ -245,10 +272,12 @@ fn main() {
 
     println!(
         "router cache, sf={sf}, {shards} shards, pool={threads} threads, \
-         parallelism={parallelism}, {clients} clients × {queries_per_client} queries:"
+         parallelism={parallelism}, {clients} clients, median of {ROUNDS} rounds \
+         (≥ {queries_per_client} queries/client, ≥ {} ms each):",
+        WINDOW.as_millis()
     );
     print_table(
-        &["pass", "q/s", "vs uncached"],
+        &["pass", "median q/s", "vs uncached (median ratio)"],
         &[
             vec![
                 "uncached".into(),
@@ -268,9 +297,19 @@ fn main() {
     );
 
     // Hand-rolled JSON (the workspace is dependency-free by design).
+    let list = |v: &[f64]| {
+        v.iter()
+            .map(|x| format!("{x:.3}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     let json = format!(
-        "{{\n  \"bench\": \"router_cache\",\n  \"sf\": {sf},\n  \"cores\": {cores},\n  \"pool_threads\": {threads},\n  \"shards\": {shards},\n  \"parallelism\": {parallelism},\n  \"clients\": {clients},\n  \"queries_per_client\": {queries_per_client},\n  \"mix\": [\"Q1.1\", \"Q2.3\", \"Q3.2\", \"Q4.1\"],\n  \"probe_interval_ms\": {},\n  \"uncached_qps\": {uncached_qps:.3},\n  \"warm_qps\": {warm_qps:.3},\n  \"warm_over_uncached\": {speedup:.3},\n  \"min_speedup\": {min_speedup},\n  \"invalidation\": {{\"cycles\": {cycles}, \"remerge_p50_micros\": {remerge_p50:.1}, \"rescatter_p50_micros\": {rescatter_p50:.1}, \"rescatter_over_remerge\": {rescatter_over_remerge:.3}}}\n}}\n",
-        PROBE_INTERVAL.as_millis()
+        "{{\n  \"bench\": \"router_cache\",\n  \"sf\": {sf},\n  \"cores\": {cores},\n  \"pool_threads\": {threads},\n  \"shards\": {shards},\n  \"parallelism\": {parallelism},\n  \"clients\": {clients},\n  \"queries_per_client\": {queries_per_client},\n  \"rounds\": {ROUNDS},\n  \"window_ms\": {},\n  \"mix\": [\"Q1.1\", \"Q2.3\", \"Q3.2\", \"Q4.1\"],\n  \"probe_interval_ms\": {},\n  \"uncached_qps\": {uncached_qps:.3},\n  \"warm_qps\": {warm_qps:.3},\n  \"warm_over_uncached\": {speedup:.3},\n  \"uncached_qps_rounds\": [{}],\n  \"warm_qps_rounds\": [{}],\n  \"warm_over_uncached_rounds\": [{}],\n  \"min_speedup\": {min_speedup},\n  \"invalidation\": {{\"cycles\": {cycles}, \"remerge_p50_micros\": {remerge_p50:.1}, \"rescatter_p50_micros\": {rescatter_p50:.1}, \"rescatter_over_remerge\": {rescatter_over_remerge:.3}}}\n}}\n",
+        WINDOW.as_millis(),
+        PROBE_INTERVAL.as_millis(),
+        list(&uncached_rounds),
+        list(&warm_rounds),
+        list(&ratios),
     );
     let mut f = std::fs::File::create(&out_path).expect("create output file");
     f.write_all(json.as_bytes()).expect("write output file");
@@ -278,8 +317,8 @@ fn main() {
 
     if speedup < min_speedup {
         eprintln!(
-            "FAIL: warm routed q/s is only {speedup:.2}x the uncached path, \
-             want ≥ {min_speedup}x"
+            "FAIL: warm routed q/s is only {speedup:.2}x the uncached path \
+             (median of {ROUNDS} rounds), want ≥ {min_speedup}x"
         );
         std::process::exit(1);
     }
@@ -293,35 +332,47 @@ fn percentile(sample: &mut [f64], p: f64) -> f64 {
     sample[idx.min(sample.len() - 1)]
 }
 
-/// C clients, each on its own connection, round-robin over the mix.
-/// `bypass` adds `cache=off` so every request scatters. Returns
-/// queries/second.
+/// One timed round: C clients, each on its own connection, round-robin
+/// over the mix. Every client connects before the clock starts; a barrier
+/// releases them together, and each issues at least `min_per_client`
+/// requests and keeps going until `window` has elapsed. `bypass` adds
+/// `cache=off` so every request scatters. Returns queries/second.
 fn timed_pass(
     addr: &str,
     mix: &[QuerySpec],
     clients: usize,
-    queries_per_client: usize,
+    min_per_client: usize,
+    window: Duration,
     parallelism: usize,
     bypass: bool,
 ) -> f64 {
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
+    let par = parallelism.to_string();
+    let mut options = vec![("parallelism", par.as_str())];
+    if bypass {
+        options.push(("cache", "off"));
+    }
+    let start = Barrier::new(clients + 1);
+    let completed = AtomicUsize::new(0);
+    let t0 = std::thread::scope(|s| {
         for ci in 0..clients {
+            let (options, start, completed) = (&options, &start, &completed);
             s.spawn(move || {
                 let mut client = QpptClient::connect(addr).expect("connect");
-                let par = parallelism.to_string();
-                let mut options = vec![("parallelism", par.as_str())];
-                if bypass {
-                    options.push(("cache", "off"));
-                }
-                for i in 0..queries_per_client {
+                start.wait();
+                let deadline = Instant::now() + window;
+                let mut i = 0;
+                while i < min_per_client || Instant::now() < deadline {
                     let q = &mix[(ci + i) % mix.len()];
                     client
-                        .run(&q.id.to_ascii_lowercase(), &options)
+                        .run(&q.id.to_ascii_lowercase(), options)
                         .expect("timed query");
+                    i += 1;
                 }
+                completed.fetch_add(i, Ordering::Relaxed);
             });
         }
+        start.wait();
+        Instant::now()
     });
-    (clients * queries_per_client) as f64 / t0.elapsed().as_secs_f64()
+    completed.into_inner() as f64 / t0.elapsed().as_secs_f64()
 }

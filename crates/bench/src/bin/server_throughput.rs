@@ -1,6 +1,6 @@
 //! Serving throughput: queries/second through the shared-pool
-//! `qppt-server` vs. the spawn-per-query `ParEngine` baseline, at client
-//! concurrency 1/4/16.
+//! `qppt-server` vs. a spawn-per-query baseline, at client concurrency
+//! 1/4/16.
 //!
 //! The served path runs a real in-process TCP server: C client threads,
 //! each on its own connection, round-robin over a query mix; every query
@@ -10,9 +10,10 @@
 //! so a lone client pays no pool round-trip) and once on the default
 //! cached path (the real serving hot path, where the repeated mix is
 //! served from the result tier). The baseline runs the same mix on C
-//! threads that each call `ParEngine::run` — i.e. each query spawns (and
-//! joins) its own scoped worker threads, the cost the shared pool exists
-//! to amortize.
+//! threads that each build a fresh `parallelism`-thread `WorkerPool` per
+//! query, run it on a `PooledEngine`, and shut the pool down — i.e. each
+//! query spawns (and joins) its own worker threads, the cost the shared
+//! pool exists to amortize.
 //!
 //! Writes `BENCH_SERVER_THROUGHPUT.json`:
 //!
@@ -28,7 +29,7 @@ use std::time::Instant;
 
 use qppt_bench::{arg_f64, arg_str, arg_usize, arg_usize_list, print_table};
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
-use qppt_par::{ParEngine, WorkerPool};
+use qppt_par::{PooledEngine, WorkerPool};
 use qppt_server::{detected_cores, serve, QpptClient, ServeEngine};
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::QuerySpec;
@@ -136,18 +137,21 @@ fn main() {
         // Served, hot path: same load on the default cached path.
         let cached_qps = serve_pass(c, "on");
 
-        // Baseline: same offered load, but every query spawns its own
-        // scoped worker pool (`ParEngine`).
+        // Baseline: same offered load, but every query spawns (and joins)
+        // its own worker pool.
         let t0 = Instant::now();
         std::thread::scope(|s| {
             for ci in 0..c {
                 let mix = &mix;
                 let db = &db;
                 s.spawn(move || {
-                    let par = ParEngine::new(db);
                     for i in 0..queries_per_client {
                         let q = &mix[(ci + i) % mix.len()];
-                        par.run(q, &run_opts).expect("baseline query");
+                        let pool = WorkerPool::new(parallelism, 1);
+                        PooledEngine::new(db.clone(), pool.clone())
+                            .run(q, &run_opts)
+                            .expect("baseline query");
+                        pool.shutdown();
                     }
                 });
             }

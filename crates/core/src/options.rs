@@ -9,10 +9,9 @@
 //! On top of the paper's knobs sit the **parallel execution** knobs consumed
 //! by the `qppt-par` subsystem: worker count ([`PlanOptions::parallelism`]),
 //! morsel granularity ([`PlanOptions::morsel_bits`]), and per-operator-class
-//! switches ([`PlanOptions::par_selections`], [`PlanOptions::par_scans`],
-//! [`PlanOptions::par_joins`]). They default to `parallelism = 1`, i.e. the
-//! paper's single-threaded execution model, so existing callers are
-//! unaffected unless they opt in.
+//! switches ([`PlanOptions::par_scans`], [`PlanOptions::par_joins`]). They
+//! default to `parallelism = 1`, i.e. the paper's single-threaded execution
+//! model, so existing callers are unaffected unless they opt in.
 
 /// Plan options for the QPPT engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +39,7 @@ pub struct PlanOptions {
     pub multidim_selections: bool,
     /// Worker count for the morsel-driven parallel executor (`qppt-par`).
     /// `1` (the default) is sequential execution; `QpptEngine::run` ignores
-    /// this knob entirely — only the parallel entry points consult it.
+    /// this knob entirely — only `qppt_par::PooledEngine` consults it.
     pub parallelism: usize,
     /// Morsel granularity: the key domain of the stage-1 join attribute is
     /// split on its top `morsel_bits` bits, i.e. into up to
@@ -49,17 +48,15 @@ pub struct PlanOptions {
     /// scheduling overhead. Must be in `1..=16`; the default of 6 yields up
     /// to 64 morsels.
     pub morsel_bits: u8,
-    /// Parallelize the *selection* operator class: materialized dimension
-    /// selections run as one task per dimension on the worker pool.
-    pub par_selections: bool,
     /// Parallelize the *synchronous index scan* operator class: a stage-1
     /// sync-scan pipeline is partitioned into [`KeyRange`](crate::KeyRange)
     /// morsels. When off, plans whose first stage is a sync scan run their
-    /// pipeline sequentially even under `run_parallel`.
+    /// pipeline sequentially even on `qppt_par::PooledEngine`.
     pub par_scans: bool,
     /// Parallelize the *composed join* operator class: a stage-1 fused
     /// select-join (select-probe) pipeline is partitioned into morsels.
-    /// When off, such pipelines run sequentially even under `run_parallel`.
+    /// When off, such pipelines run sequentially even on
+    /// `qppt_par::PooledEngine`.
     pub par_joins: bool,
     /// Build base/composite indexes with partitioned parallel sorts on a
     /// shared worker pool (`qppt_par::prepare_indexes_pooled`): row ids are
@@ -126,7 +123,6 @@ impl Default for PlanOptions {
             multidim_selections: false,
             parallelism: 1,
             morsel_bits: 6,
-            par_selections: true,
             par_scans: true,
             par_joins: true,
             par_index_build: false,
@@ -229,9 +225,8 @@ impl PlanOptions {
     }
 
     /// Builder-style setter for the per-operator-class parallel switches
-    /// (selections, synchronous scans, composed joins).
-    pub fn with_par_ops(mut self, selections: bool, scans: bool, joins: bool) -> Self {
-        self.par_selections = selections;
+    /// (synchronous scans, composed joins).
+    pub fn with_par_ops(mut self, scans: bool, joins: bool) -> Self {
         self.par_scans = scans;
         self.par_joins = joins;
         self
@@ -271,7 +266,7 @@ mod tests {
         assert!(!o.multidim_selections);
         assert_eq!(o.parallelism, 1);
         assert_eq!(o.morsel_bits, 6);
-        assert!(o.par_selections && o.par_scans && o.par_joins);
+        assert!(o.par_scans && o.par_joins);
         assert!(!o.par_index_build);
         assert!(!o.batch_exec);
         assert_eq!(o.batch_rows, 1024);
@@ -331,7 +326,7 @@ mod tests {
             .with_multidim(true)
             .with_parallelism(4)
             .with_morsel_bits(8)
-            .with_par_ops(false, true, false)
+            .with_par_ops(true, false)
             .with_par_index_build(true)
             .with_batch_exec(true)
             .with_batch_rows(64);
@@ -349,6 +344,6 @@ mod tests {
         assert!(o.selection_via_set_ops);
         assert_eq!(o.parallelism, 4);
         assert_eq!(o.morsel_bits, 8);
-        assert!(!o.par_selections && o.par_scans && !o.par_joins);
+        assert!(o.par_scans && !o.par_joins);
     }
 }

@@ -1,12 +1,10 @@
 //! Batched/scalar equivalence: `batch_exec=on` is a pure execution
 //! strategy — columnar gathers, selection-vector predicate filtering, and
 //! run-length-grouped aggregate merges must produce **byte-identical**
-//! `QueryResult`s to the scalar path for every SSB query, across
-//! parallelism, morsel granularity, and batch block size. Any visible
-//! difference is a bug.
+//! `QueryResult`s to the scalar path for every SSB query, across batch
+//! block sizes. Any visible difference is a bug.
 
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
-use qppt_par::RunParallel;
 use qppt_ssb::{queries, SsbDb};
 
 fn prepared_db(sf: f64, seed: u64, opts: &PlanOptions) -> SsbDb {
@@ -18,37 +16,18 @@ fn prepared_db(sf: f64, seed: u64, opts: &PlanOptions) -> SsbDb {
 }
 
 #[test]
-fn all_queries_identical_scalar_vs_batched_across_the_grid() {
+fn all_queries_identical_scalar_vs_batched_sequential() {
     let base = PlanOptions::default();
     let ssb = prepared_db(0.01, 42, &base);
     let engine = QpptEngine::new(&ssb.db);
     for q in queries::all_queries() {
         let scalar = engine.run(&q, &base).unwrap();
-        // The sequential engine path (execute_agg) with batching on.
+        // The sequential engine path (execute_agg) with batching on; the
+        // morsel-parallel grid lives with the parallel engine (qppt-par).
         for rows in [1usize, 64, 1024] {
             let opts = base.with_batch_exec(true).with_batch_rows(rows);
             let batched = engine.run(&q, &opts).unwrap();
             assert_eq!(batched, scalar, "{} sequential @ batch_rows={rows}", q.id);
-        }
-        // The full grid through the morsel scheduler: batch_rows=1 is the
-        // degenerate one-row block, 1024 spans whole morsels at fine
-        // granularities.
-        for workers in [1usize, 4] {
-            for bits in [1u8, 6, 12] {
-                for rows in [1usize, 64, 1024] {
-                    let opts = base
-                        .with_parallelism(workers)
-                        .with_morsel_bits(bits)
-                        .with_batch_exec(true)
-                        .with_batch_rows(rows);
-                    let batched = engine.run_parallel(&q, &opts).unwrap();
-                    assert_eq!(
-                        batched, scalar,
-                        "{} @ parallelism={workers} morsel_bits={bits} batch_rows={rows}",
-                        q.id
-                    );
-                }
-            }
         }
     }
 }

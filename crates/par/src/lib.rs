@@ -28,22 +28,18 @@
 //!    [`QueryResult`](qppt_storage::QueryResult) — is byte-identical to a
 //!    sequential run, whatever the thread timing.
 //!
-//! Two engines drive that machinery:
-//!
-//! * [`ParEngine`] — the embedded, one-shot path: a **scoped** thread pool
-//!   spawned per query. Zero setup, but per-query spawn cost — the
-//!   spawn-per-query baseline of `BENCH_SERVER_THROUGHPUT.json`.
-//! * [`PooledEngine`] — the serving path: queries submit their morsel
-//!   queues as jobs to a persistent shared [`WorkerPool`] (std threads
-//!   created once, priority + admission budget), so N concurrent queries
-//!   share one fixed set of threads instead of spawning N×P. This is what
-//!   `qppt-server` runs on.
+//! One engine drives that machinery: [`PooledEngine`]. Every query runs
+//! the same path — build a [`PreparedQuery`](qppt_core::PreparedQuery)
+//! (plan, dimension selections, fused stage-1 stream), then execute it,
+//! submitting the morsel queue as a job to a persistent shared
+//! [`WorkerPool`] (std threads created once, priority + admission budget).
+//! N concurrent queries share one fixed set of threads instead of spawning
+//! N×P; a one-shot caller simply builds a pool for the call. This is what
+//! `qppt-server` runs on.
 //!
 //! Dimension selections (σ) are materialized **once**, before the fact
-//! pipeline starts, optionally in parallel (one task per dimension,
-//! [`par_selections`](qppt_core::PlanOptions::par_selections)), and shared
-//! read-only by all workers. The per-class switches
-//! [`par_scans`](qppt_core::PlanOptions::par_scans) /
+//! pipeline starts, and shared read-only by all workers. The per-class
+//! switches [`par_scans`](qppt_core::PlanOptions::par_scans) /
 //! [`par_joins`](qppt_core::PlanOptions::par_joins) gate whether a
 //! sync-scan-led or select-join-led pipeline is partitioned at all. Base
 //! and composite index *builds* can also ride the shared pool — see
@@ -54,26 +50,19 @@
 //! ```
 //! use std::sync::Arc;
 //! use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
-//! use qppt_par::{ParEngine, PooledEngine, RunParallel, WorkerPool};
+//! use qppt_par::{PooledEngine, WorkerPool};
 //! use qppt_ssb::{queries, SsbDb};
 //!
 //! let mut ssb = SsbDb::generate(0.01, 42);
 //! let opts = PlanOptions::default().with_parallelism(4).with_morsel_bits(5);
 //! let spec = queries::q2_3();
 //! prepare_indexes(&mut ssb.db, &spec, &opts).unwrap();
+//! let sequential = QpptEngine::new(&ssb.db).run(&spec, &opts).unwrap();
 //!
-//! // The one-shot engine (scoped threads per query) …
-//! let par = ParEngine::new(&ssb.db);
-//! let parallel = par.run(&spec, &opts).unwrap();
-//!
-//! // … the extension method on the sequential engine …
-//! let engine = QpptEngine::new(&ssb.db);
-//! let sequential = engine.run(&spec, &opts).unwrap();
-//! assert_eq!(engine.run_parallel(&spec, &opts).unwrap(), parallel);
-//!
-//! // … and the serving path: a persistent pool shared across queries.
+//! // A persistent pool shared across queries: the calling thread counts as
+//! // one worker, so 3 pool threads serve parallelism 4.
 //! let db = Arc::new(ssb.db);
-//! let pool = WorkerPool::new(4, 8);
+//! let pool = WorkerPool::new(3, 8);
 //! let pooled = PooledEngine::new(db, pool.clone());
 //! assert_eq!(pooled.run(&spec, &opts).unwrap(), sequential);
 //! pool.shutdown(); // started queries finish; threads join
@@ -83,84 +72,18 @@ mod morsel;
 mod pool;
 mod pooled;
 mod prepare;
-mod scheduler;
 
 pub use morsel::Partitioner;
 pub use pool::{JobAborted, JobHandle, PoolJob, PoolMetrics, WorkerPool};
 pub use pooled::PooledEngine;
 pub use prepare::prepare_indexes_pooled;
 
-use std::sync::Arc;
-use std::thread;
-use std::time::Instant;
-
-use qppt_core::exec::{
-    decode_result, materialize_dim_selection, materialize_fused_selection, new_agg_table,
-    run_pipeline, DimSelection,
-};
 use qppt_core::inter::AggTable;
-use qppt_core::plan::MainInput;
-use qppt_core::{build_plan, ExecStats, Plan, PlanOptions, QpptEngine, QpptError};
-use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot};
-
-/// Worker count for the fact pipeline: `opts.parallelism` if the stage-1
-/// operator's class is switched on, else 1 (sequential).
-pub(crate) fn pipeline_workers(plan: &Plan) -> usize {
-    let class_on = match plan.stages[0].main {
-        MainInput::SyncScan { .. } => plan.opts.par_scans,
-        MainInput::SelectProbe { .. } => plan.opts.par_joins,
-    };
-    if class_on {
-        plan.opts.parallelism.max(1)
-    } else {
-        1
-    }
-}
-
-/// Morsels over the populated key interval of the stage-1 fact index.
-pub(crate) fn partition_morsels(
-    db: &Database,
-    plan: &Plan,
-) -> Result<Vec<qppt_core::KeyRange>, QpptError> {
-    let fact_base = db.find_index(&plan.spec.fact, &plan.dims[0].fact_col_name)?;
-    let (Some(min), Some(max)) = (
-        fact_base.data.index.min_key(),
-        fact_base.data.index.max_key(),
-    ) else {
-        // Empty fact index: one full-range morsel keeps the pipeline
-        // shape (and its statistics records) intact.
-        return Ok(vec![qppt_core::KeyRange::full()]);
-    };
-    Ok(Partitioner::new(min, max, plan.opts.morsel_bits)
-        .morsels()
-        .to_vec())
-}
-
-/// Post-merge statistics fixup shared by both parallel engines.
-///
-/// Merged `out_keys`/`out_tuples`/`memory_bytes` are per-partition sums.
-/// For the final join-group operator the same group key can appear in many
-/// partitions, so the sum overcounts — overwrite it with the merged index's
-/// true numbers. The last stage is always the aggregating one by plan
-/// construction, and its record is always the last operator pushed.
-/// Intermediate-stage records keep the summed semantics (their `out_keys`
-/// is an upper bound on distinct keys when a stage-2+ join key spans
-/// partitions); see `OpStats::absorb_partition`.
-pub(crate) fn fix_merged_agg_stats(plan: &Plan, agg: &AggTable, stats: &mut ExecStats) {
-    debug_assert!(matches!(
-        plan.stages.last().map(|s| &s.output),
-        Some(qppt_core::plan::StageOutput::Agg)
-    ));
-    if let Some(last) = stats.ops.last_mut() {
-        last.out_keys = agg.group_count();
-        last.out_tuples = agg.group_count();
-        last.memory_bytes = agg.memory_bytes();
-    }
-}
+use qppt_core::QpptError;
 
 /// Merges per-shard partial aggregates into one, in participant (shard)
 /// order — the distributed counterpart of the per-worker
-/// [`AggTable::merge_from`] fold the morsel scheduler performs.
+/// [`AggTable::merge_from`] fold of [`PooledEngine`]'s morsel workers.
 ///
 /// The merge literally reuses [`AggTable::merge`]: every shard row is an
 /// upsert of commutative sums keyed on the packed `u64` group key, so the
@@ -230,192 +153,4 @@ pub fn merge_partial_aggregates(
         agg_cols,
         rows,
     }))
-}
-
-/// The parallel QPPT engine: same contract as
-/// [`QpptEngine`](qppt_core::QpptEngine), executed morsel-parallel according
-/// to the [`PlanOptions`] parallel knobs on a **scoped, per-query** thread
-/// pool. For a shared pool serving concurrent queries, see
-/// [`PooledEngine`].
-#[derive(Debug, Clone, Copy)]
-pub struct ParEngine<'a> {
-    db: &'a Database,
-}
-
-impl<'a> ParEngine<'a> {
-    /// Creates a parallel engine over `db`.
-    pub fn new(db: &'a Database) -> Self {
-        Self { db }
-    }
-
-    /// Runs a query at the latest snapshot with `opts.parallelism` workers.
-    pub fn run(&self, spec: &QuerySpec, opts: &PlanOptions) -> Result<QueryResult, QpptError> {
-        Ok(self.run_with_stats(spec, opts)?.0)
-    }
-
-    /// Runs a query, returning merged per-operator statistics too. Operator
-    /// `micros` are summed across workers (CPU time, not wall time);
-    /// `total_micros` remains end-to-end wall time.
-    pub fn run_with_stats(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-    ) -> Result<(QueryResult, ExecStats), QpptError> {
-        self.run_at(spec, opts, self.db.snapshot())
-    }
-
-    /// Runs a query at an explicit snapshot (MVCC reads).
-    pub fn run_at(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-        snap: Snapshot,
-    ) -> Result<(QueryResult, ExecStats), QpptError> {
-        let plan = build_plan(self.db, spec, opts)?;
-        let started = Instant::now();
-        let mut stats = ExecStats::default();
-        // Fresh plan: its options are the request's, so deriving the batch
-        // mode from the plan is exact.
-        let batch = plan.opts.batch_mode();
-
-        // 1. Materialize dimension selections once, shared by all workers.
-        let dim_tables = self.materialize_dims(snap, &plan, &mut stats)?;
-
-        // 2. Fact pipeline: morsel-parallel when the stage-1 operator's
-        //    class is enabled, sequential otherwise.
-        let (agg, pipeline_stats) = if pipeline_workers(&plan) > 1 {
-            // The fused select-join stream (if any) is materialized once
-            // and shared, so morsel workers do not re-evaluate the
-            // selection predicates per morsel.
-            let fused = materialize_fused_selection(self.db, snap, &plan)?;
-            let morsels = partition_morsels(self.db, &plan)?;
-            let workers = pipeline_workers(&plan).min(morsels.len()).max(1);
-            scheduler::run_morsels(
-                self.db,
-                snap,
-                &plan,
-                &dim_tables,
-                fused.as_ref(),
-                &morsels,
-                workers,
-                batch,
-            )?
-        } else {
-            let mut agg = new_agg_table(&plan);
-            let ops = run_pipeline(
-                self.db,
-                snap,
-                &plan,
-                &dim_tables,
-                None,
-                None,
-                batch,
-                &mut agg,
-            )?;
-            (
-                agg,
-                ExecStats {
-                    ops,
-                    total_micros: 0,
-                },
-            )
-        };
-        stats.ops.extend(pipeline_stats.ops);
-        fix_merged_agg_stats(&plan, &agg, &mut stats);
-
-        // 3. Decode the merged aggregation index.
-        let result = decode_result(self.db, &plan, &agg);
-        stats.total_micros = started.elapsed().as_micros();
-        Ok((result, stats))
-    }
-
-    /// Materializes every `Materialized` dimension selection — in parallel
-    /// (one task per dimension) when `par_selections` is on and more than
-    /// one worker is configured. Statistics are appended in dimension
-    /// order either way.
-    fn materialize_dims(
-        &self,
-        snap: Snapshot,
-        plan: &Plan,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Option<Arc<DimSelection>>>, QpptError> {
-        let n = plan.dims.len();
-        let materialized: Vec<usize> = (0..n)
-            .filter(|&di| plan.dims[di].handle == qppt_core::plan::DimHandleKind::Materialized)
-            .collect();
-        let results: Vec<Option<Arc<DimSelection>>> =
-            if plan.opts.par_selections && plan.opts.parallelism > 1 && materialized.len() > 1 {
-                // One task per *materialized* dimension (Base/Fused handles
-                // have no materialization step, so spawning for them would
-                // be pure overhead), in chunks of at most `parallelism`
-                // concurrent tasks so the configured worker budget also
-                // bounds this phase.
-                let db = self.db;
-                let mut results: Vec<Option<Arc<DimSelection>>> = (0..n).map(|_| None).collect();
-                for chunk in materialized.chunks(plan.opts.parallelism) {
-                    let done = thread::scope(|scope| {
-                        let handles: Vec<_> = chunk
-                            .iter()
-                            .map(|&di| {
-                                scope.spawn(move || materialize_dim_selection(db, snap, plan, di))
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("selection tasks do not panic"))
-                            .collect::<Result<Vec<_>, QpptError>>()
-                    })?;
-                    for (&di, r) in chunk.iter().zip(done) {
-                        results[di] = r;
-                    }
-                }
-                results
-            } else {
-                (0..n)
-                    .map(|di| materialize_dim_selection(self.db, snap, plan, di))
-                    .collect::<Result<Vec<_>, QpptError>>()?
-            };
-        let mut dim_tables = Vec::with_capacity(n);
-        for r in results {
-            match r {
-                Some(sel) => {
-                    stats.push(sel.op.clone());
-                    dim_tables.push(Some(sel));
-                }
-                None => dim_tables.push(None),
-            }
-        }
-        Ok(dim_tables)
-    }
-}
-
-/// Extension trait adding parallel entry points to the sequential
-/// [`QpptEngine`], so call sites choose per query:
-/// `engine.run(..)` vs `engine.run_parallel(..)`.
-pub trait RunParallel {
-    /// Runs the query with `opts.parallelism` morsel workers; results are
-    /// byte-identical to the sequential [`QpptEngine::run`].
-    fn run_parallel(&self, spec: &QuerySpec, opts: &PlanOptions) -> Result<QueryResult, QpptError>;
-
-    /// Like [`run_parallel`](Self::run_parallel), also returning merged
-    /// per-operator statistics.
-    fn run_parallel_with_stats(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-    ) -> Result<(QueryResult, ExecStats), QpptError>;
-}
-
-impl RunParallel for QpptEngine<'_> {
-    fn run_parallel(&self, spec: &QuerySpec, opts: &PlanOptions) -> Result<QueryResult, QpptError> {
-        ParEngine::new(self.db()).run(spec, opts)
-    }
-
-    fn run_parallel_with_stats(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-    ) -> Result<(QueryResult, ExecStats), QpptError> {
-        ParEngine::new(self.db()).run_with_stats(spec, opts)
-    }
 }

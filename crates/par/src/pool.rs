@@ -1,20 +1,18 @@
 //! The persistent, shared worker pool: std threads created **once**,
 //! serving the morsel queues of many concurrent queries.
 //!
-//! `ParEngine` (the original, embedded entry point) spawns a scoped thread
-//! pool per query — fine for one-shot library use, but under concurrent
-//! load N queries × P workers means N×P thread spawns per batch, and spawn
-//! cost dominates at small scale factors. [`WorkerPool`] is the serving-path
-//! alternative (Leis et al.'s shared morsel-driven pool): a fixed set of
-//! workers created at startup, to which queries submit *jobs* — bundles of
-//! pull-able tasks (morsels, dimension selections, index-build partitions).
+//! Spawning threads per query would mean N queries × P workers thread
+//! spawns under concurrent load, and spawn cost dominates at small scale
+//! factors. [`WorkerPool`] instead follows Leis et al.'s shared
+//! morsel-driven pool: a fixed set of workers created at startup, to which
+//! queries submit *jobs* — bundles of pull-able tasks (morsels,
+//! index-build partitions).
 //!
 //! Scheduling model:
 //!
 //! * **Work pulling within a job** — a job exposes an atomic task dispenser
 //!   through [`PoolJob::work`]; every worker that *joins* the job pulls
-//!   tasks until none remain, so skewed tasks self-balance exactly as in
-//!   the scoped scheduler.
+//!   tasks until none remain, so skewed tasks self-balance.
 //! * **Priority across jobs** — idle workers join the admitted job with the
 //!   highest `priority` (ties: submission order, i.e. FIFO). A job never
 //!   uses more than [`PoolJob::max_workers`] workers, so one wide query
@@ -410,8 +408,10 @@ impl WorkerPool {
         st.queue[i].active -= 1;
         if st.queue[i].active == 0 && !st.queue[i].job.has_work() {
             let e = st.queue.remove(i);
-            e.slot.finish(SlotState::Done);
+            // Counters move before the waiter wakes, so a woken waiter
+            // always observes its own job retired.
             self.inner.job_retired();
+            e.slot.finish(SlotState::Done);
             self.inner.admit_cv.notify_all();
         }
     }
@@ -429,11 +429,11 @@ impl WorkerPool {
             let metrics = self.inner.metrics.as_ref();
             st.queue.retain(|e| {
                 if e.joined == 0 {
-                    e.slot.finish(SlotState::Aborted);
                     if let Some(m) = metrics {
                         m.queue_depth.sub(1);
                         m.admission_rejections.inc();
                     }
+                    e.slot.finish(SlotState::Aborted);
                     false
                 } else {
                     true
@@ -496,8 +496,9 @@ fn worker_loop(inner: &Inner) {
         st.queue[i].active -= 1;
         if st.queue[i].active == 0 && !st.queue[i].job.has_work() {
             let e = st.queue.remove(i);
-            e.slot.finish(SlotState::Done);
+            // Counters first, then wake the waiter (see `leave`).
             inner.job_retired();
+            e.slot.finish(SlotState::Done);
             // A freed admission slot may unblock a submitter; new workers
             // cannot be needed (retiring adds no work).
             inner.admit_cv.notify_all();

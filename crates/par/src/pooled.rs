@@ -1,50 +1,53 @@
-//! [`PooledEngine`]: the serving-path engine — same plans, same
-//! byte-identical results as [`QpptEngine`](qppt_core::QpptEngine) and
-//! [`ParEngine`](crate::ParEngine), executed on a persistent shared
-//! [`WorkerPool`] instead of a scoped per-query pool.
+//! [`PooledEngine`]: the parallel engine — same plans, same byte-identical
+//! results as [`QpptEngine`](qppt_core::QpptEngine), executed on a
+//! persistent shared [`WorkerPool`].
 //!
-//! N concurrent queries submit their morsel queues (and, with
-//! `par_selections`, their dimension-selection tasks) as [`PoolJob`]s; the
-//! pool's fixed workers interleave them under the priority/admission policy.
-//! Total threads are bounded by the pool size, not queries × parallelism —
-//! the property `qppt-server` is built on.
+//! Every query runs one path: build a [`PreparedQuery`] (plan, dimension
+//! selections, fused stage-1 stream), then execute it with
+//! [`run_prepared`](PooledEngine::run_prepared). The `run*` entry points
+//! are thin wrappers that build the prepared state fresh; the serving
+//! path reuses cached prepared state (the `qppt-cache` selection tier), so
+//! planning, dimension materialization and the fused-selection scan are
+//! skipped and the prepared `InterTable`s are shared read-only across
+//! every morsel worker of every execution.
+//!
+//! Execution submits the query's morsel queue as a [`PoolJob`]; the
+//! pool's fixed workers interleave concurrent queries under the
+//! priority/admission policy. Total threads are bounded by the pool size,
+//! not queries × parallelism — the property `qppt-server` is built on.
 //!
 //! Two latency paths matter for serving:
 //!
-//! * **Inline fast path** — `parallelism = 1` queries never touch the pool:
-//!   they run the whole sequential executor on the calling (connection)
-//!   thread, so a single-client workload pays zero cross-thread
-//!   round-trips.
+//! * **Inline fast path** — queries whose pipeline runs on one worker
+//!   (`parallelism = 1`, or the stage-1 operator class switched off) never
+//!   touch the pool: they run the sequential executor on the calling
+//!   (connection) thread, so a single-client workload pays zero
+//!   cross-thread round-trips.
 //! * **Caller participation** — parallel queries submit their jobs with
 //!   [`WorkerPool::run_participating`]: the calling thread counts as one
-//!   of the job's workers and starts pulling tasks immediately; free pool
-//!   workers fill the remaining slots. At low concurrency the query runs
-//!   mostly inline, under load the pool balances as before.
+//!   of the job's workers and starts pulling morsels immediately; free
+//!   pool workers fill the remaining slots. At low concurrency the query
+//!   runs mostly inline, under load the pool balances as before.
 //!
-//! The engine can also execute from a cached
-//! [`PreparedQuery`](qppt_core::PreparedQuery)
-//! ([`run_prepared`](PooledEngine::run_prepared)): planning, dimension
-//! materialization, and the fused-selection scan are all skipped, and the
-//! prepared `InterTable`s are shared read-only across every morsel worker
-//! of every execution — the `qppt-cache` selection-tier hot path.
+//! Scheduling within a job is *work-pulling* (Leis et al.'s morsel-driven
+//! model): participants grab the next unclaimed morsel index from an
+//! atomic counter, so skewed partitions self-balance. Each participant
+//! accumulates into a **private** aggregation table; partials are merged
+//! in participant order, which (with commutative accumulator sums) makes
+//! the merged result independent of thread timing.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use qppt_core::exec::{
-    decode_result, execute_agg, materialize_dim_selection, materialize_fused_selection,
-    new_agg_table, run_pipeline, DimSelection, FusedSelection,
-};
+use qppt_core::exec::{decode_result, new_agg_table, run_pipeline, DimSelection, FusedSelection};
 use qppt_core::inter::AggTable;
-use qppt_core::{
-    build_plan, BatchMode, ExecStats, KeyRange, Plan, PlanOptions, PreparedQuery, QpptError,
-};
+use qppt_core::plan::MainInput;
+use qppt_core::{BatchMode, ExecStats, KeyRange, Plan, PlanOptions, PreparedQuery, QpptError};
 use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot};
 
+use crate::morsel::Partitioner;
 use crate::pool::{PoolJob, WorkerPool};
-use crate::scheduler::{drain_morsels, merge_partials};
-use crate::{partition_morsels, pipeline_workers};
 
 /// The shared-pool QPPT engine (see module docs). Cheap to clone; clones
 /// share the database and the pool.
@@ -76,6 +79,8 @@ impl PooledEngine {
     }
 
     /// Runs a query, returning merged per-operator statistics (priority 0).
+    /// Operator `micros` are summed across workers (CPU time, not wall
+    /// time); `total_micros` remains end-to-end wall time.
     pub fn run_with_stats(
         &self,
         spec: &QuerySpec,
@@ -86,7 +91,8 @@ impl PooledEngine {
 
     /// Runs a query at an explicit snapshot with an explicit pool priority
     /// (higher preempts lower for idle workers; in-flight morsels are never
-    /// preempted).
+    /// preempted): [`PreparedQuery::build`] then
+    /// [`run_prepared`](Self::run_prepared).
     pub fn run_at(
         &self,
         spec: &QuerySpec,
@@ -95,69 +101,16 @@ impl PooledEngine {
         priority: i32,
     ) -> Result<(QueryResult, ExecStats), QpptError> {
         let started = Instant::now();
-        let (plan, agg, mut stats) = self.run_at_agg(spec, opts, snap, priority)?;
-        // Decode the merged aggregation index.
-        let result = decode_result(&self.db, &plan, &agg);
+        let prepared = PreparedQuery::build(&self.db, spec, opts, snap)?;
+        let (result, mut stats) = self.run_prepared(&prepared, priority)?;
         stats.total_micros = started.elapsed().as_micros();
         Ok((result, stats))
     }
 
-    /// Like [`run_at`](Self::run_at), but stops at the merged aggregation
-    /// index — the shard-side entry point when a router performs the final
-    /// decode after the cross-shard merge. Also returns the plan, which the
-    /// partial-aggregate encoding needs.
-    pub fn run_at_agg(
-        &self,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-        snap: Snapshot,
-        priority: i32,
-    ) -> Result<(Arc<Plan>, AggTable, ExecStats), QpptError> {
-        let plan = build_plan(&self.db, spec, opts)?;
-        // Fresh plan: its options are the request's, so deriving the batch
-        // mode from the plan is exact.
-        let batch = plan.opts.batch_mode();
-
-        // Inline fast path: a sequential query runs the whole executor on
-        // the calling thread — no jobs, no handles, no pool wakeups. This
-        // is byte-identical by construction (it *is* the sequential
-        // engine's code path).
-        if plan.opts.parallelism == 1 {
-            let plan = Arc::new(plan);
-            let (agg, stats) = execute_agg(&self.db, snap, &plan)?;
-            return Ok((plan, agg, stats));
-        }
-
-        let plan = Arc::new(plan);
-        let started = Instant::now();
-        let mut stats = ExecStats::default();
-
-        // 1. Dimension selections — as a participating pool job when
-        //    parallel selections are on and there is more than one to
-        //    build.
-        let dim_tables = Arc::new(self.materialize_dims(snap, &plan, priority, &mut stats)?);
-
-        // 2. Fact pipeline. The fused stage-1 stream is materialized once
-        //    (shared by all morsel workers) only when the pipeline is
-        //    actually partitioned.
-        let fused = if self.pipeline_participants(&plan) > 1 {
-            Arc::new(materialize_fused_selection(&self.db, snap, &plan)?)
-        } else {
-            Arc::new(None)
-        };
-        let (agg, pipeline_stats) =
-            self.execute_pipeline(snap, &plan, &dim_tables, &fused, priority, batch)?;
-        stats.ops.extend(pipeline_stats.ops);
-        crate::fix_merged_agg_stats(&plan, &agg, &mut stats);
-        stats.total_micros = started.elapsed().as_micros();
-        Ok((plan, agg, stats))
-    }
-
-    /// Executes a query from prepared, shared state (the `qppt-cache`
-    /// selection-tier hit): no planning, no dimension materialization, no
-    /// selection-predicate evaluation — the pipeline runs straight off the
-    /// prepared `InterTable`s and fused stream, which are shared (`Arc`)
-    /// across concurrent executions.
+    /// Executes a query from prepared, shared state: no planning, no
+    /// dimension materialization, no selection-predicate evaluation — the
+    /// pipeline runs straight off the prepared `InterTable`s and fused
+    /// stream, which are shared (`Arc`) across concurrent executions.
     ///
     /// Coherence contract (see [`PreparedQuery`]): only call this while
     /// the versions of every table the plan reads are unchanged since the
@@ -177,174 +130,128 @@ impl PooledEngine {
     }
 
     /// Like [`run_prepared`](Self::run_prepared), but stops at the merged
-    /// aggregation index — the cached shard-side entry point for
-    /// partial-aggregate serving. `batch` is the *request's* execution
-    /// mode: batch knobs are excluded from the cache fingerprints, so a
-    /// cached prepared query's plan may carry stale knobs — scalar and
-    /// batched requests share the same entry and produce byte-identical
-    /// aggregates.
+    /// aggregation index — the shard-side entry point for partial-aggregate
+    /// serving, where the router decodes after the cross-shard merge.
+    /// `batch` is the *request's* execution mode: batch knobs are excluded
+    /// from the cache fingerprints, so a cached prepared query's plan may
+    /// carry stale knobs — scalar and batched requests share the same entry
+    /// and produce byte-identical aggregates.
     pub fn run_prepared_agg(
         &self,
         prepared: &PreparedQuery,
         priority: i32,
         batch: BatchMode,
     ) -> Result<(AggTable, ExecStats), QpptError> {
-        // Inline fast path, as in `run_at`.
-        if prepared.plan.opts.parallelism == 1 {
+        let plan = &prepared.plan;
+        // The calling thread participates in its own job, so the bound is
+        // pool + 1.
+        let workers = pipeline_workers(plan).min(self.pool.size() + 1);
+        if workers == 1 {
+            // Inline fast path: no jobs, no handles, no pool wakeups. This
+            // is byte-identical by construction (it *is* the sequential
+            // engine's pipeline).
             return prepared.execute_sequential_agg(&self.db, batch);
         }
 
         let started = Instant::now();
+        let morsels = partition_morsels(&self.db, plan)?;
+        let job = Arc::new(MorselJob {
+            db: self.db.clone(),
+            snap: prepared.snap,
+            plan: plan.clone(),
+            dim_tables: prepared.dims.clone(),
+            fused: prepared.fused.clone(),
+            max_workers: workers.min(morsels.len()),
+            morsels,
+            next: AtomicUsize::new(0),
+            participants: AtomicUsize::new(0),
+            partials: Mutex::new(Vec::new()),
+            error: Mutex::new(None),
+            aborted: AtomicBool::new(false),
+            batch,
+        });
+        self.pool
+            .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
+            .map_err(|_| {
+                QpptError::Internal("worker pool shut down while the query was queued".into())
+            })?;
+        if let Some(e) = job.error.lock().expect("job lock").take() {
+            return Err(e);
+        }
+
+        // Deterministic merge: participant order, not completion order.
+        // (The accumulators are commutative sums, so this is
+        // belt-and-braces — but it keeps statistics ordering reproducible
+        // too.)
+        let mut partials = std::mem::take(&mut *job.partials.lock().expect("job lock"));
+        partials.sort_by_key(|(pid, _, _)| *pid);
+        let mut partials = partials.into_iter();
+        let (mut agg, mut pipeline) = match partials.next() {
+            Some((_, agg, stats)) => (agg, stats),
+            None => (new_agg_table(plan), ExecStats::default()),
+        };
+        for (_, part_agg, part_stats) in partials {
+            agg.merge_from(&part_agg);
+            pipeline.merge_partition(&part_stats);
+        }
+
         let mut stats = ExecStats {
             ops: prepared.dim_stats(),
             total_micros: 0,
         };
-        let (agg, pipeline_stats) = self.execute_pipeline(
-            prepared.snap,
-            &prepared.plan,
-            &prepared.dims,
-            &prepared.fused,
-            priority,
-            batch,
-        )?;
-        stats.ops.extend(pipeline_stats.ops);
-        crate::fix_merged_agg_stats(&prepared.plan, &agg, &mut stats);
+        stats.ops.extend(pipeline.ops);
+        fix_merged_agg_stats(&agg, &mut stats);
         stats.total_micros = started.elapsed().as_micros();
         Ok((agg, stats))
     }
+}
 
-    /// Workers the fact pipeline may use, caller included (the calling
-    /// thread participates in its own jobs, so the bound is pool + 1).
-    fn pipeline_participants(&self, plan: &Plan) -> usize {
-        pipeline_workers(plan).min(self.pool.size() + 1)
-    }
-
-    /// Runs the fact pipeline — as a participating morsel job on the
-    /// shared pool when the stage-1 operator class allows more than one
-    /// worker, inline on the calling thread otherwise.
-    fn execute_pipeline(
-        &self,
-        snap: Snapshot,
-        plan: &Arc<Plan>,
-        dim_tables: &Arc<Vec<Option<Arc<DimSelection>>>>,
-        fused: &Arc<Option<FusedSelection>>,
-        priority: i32,
-        batch: BatchMode,
-    ) -> Result<(AggTable, ExecStats), QpptError> {
-        let workers = self.pipeline_participants(plan);
-        if workers > 1 {
-            let morsels = partition_morsels(&self.db, plan)?;
-            let max_workers = workers.min(morsels.len()).max(1);
-            let job = Arc::new(MorselJob {
-                db: self.db.clone(),
-                snap,
-                plan: plan.clone(),
-                dim_tables: dim_tables.clone(),
-                fused: fused.clone(),
-                morsels,
-                next: AtomicUsize::new(0),
-                participants: AtomicUsize::new(0),
-                partials: Mutex::new(Vec::new()),
-                error: Mutex::new(None),
-                aborted: AtomicBool::new(false),
-                max_workers,
-                batch,
-            });
-            self.pool
-                .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
-                .map_err(|_| pool_down())?;
-            if let Some(e) = job.error.lock().expect("job lock").take() {
-                return Err(e);
-            }
-            let partials = std::mem::take(&mut *job.partials.lock().expect("job lock"));
-            if partials.is_empty() {
-                Ok((new_agg_table(plan), ExecStats::default()))
-            } else {
-                Ok(merge_partials(partials))
-            }
-        } else {
-            let mut agg = new_agg_table(plan);
-            let ops = run_pipeline(
-                &self.db,
-                snap,
-                plan,
-                dim_tables,
-                None,
-                fused.as_ref().as_ref(),
-                batch,
-                &mut agg,
-            )?;
-            Ok((
-                agg,
-                ExecStats {
-                    ops,
-                    total_micros: 0,
-                },
-            ))
-        }
-    }
-
-    /// Materializes every `Materialized` dimension selection — as one
-    /// participating pool job (one task per dimension) when
-    /// `par_selections` is on, inline otherwise. Statistics are appended
-    /// in dimension order either way.
-    fn materialize_dims(
-        &self,
-        snap: Snapshot,
-        plan: &Arc<Plan>,
-        priority: i32,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Option<Arc<DimSelection>>>, QpptError> {
-        let n = plan.dims.len();
-        let materialized: Vec<usize> = (0..n)
-            .filter(|&di| plan.dims[di].handle == qppt_core::plan::DimHandleKind::Materialized)
-            .collect();
-        // Even a size-1 pool is worth submitting to: the caller
-        // participates, so the job always has ≥ 2 potential workers.
-        let pooled =
-            plan.opts.par_selections && plan.opts.parallelism > 1 && materialized.len() > 1;
-        let results: Vec<Option<Arc<DimSelection>>> = if pooled {
-            let max_workers = plan.opts.parallelism.min(materialized.len());
-            let job = Arc::new(DimJob {
-                db: self.db.clone(),
-                snap,
-                plan: plan.clone(),
-                tasks: materialized,
-                next: AtomicUsize::new(0),
-                results: Mutex::new((0..n).map(|_| None).collect()),
-                error: Mutex::new(None),
-                aborted: AtomicBool::new(false),
-                max_workers,
-            });
-            self.pool
-                .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
-                .map_err(|_| pool_down())?;
-            if let Some(e) = job.error.lock().expect("job lock").take() {
-                return Err(e);
-            }
-            let results = std::mem::take(&mut *job.results.lock().expect("job lock"));
-            results
-        } else {
-            (0..n)
-                .map(|di| materialize_dim_selection(&self.db, snap, plan, di))
-                .collect::<Result<Vec<_>, QpptError>>()?
-        };
-        let mut dim_tables = Vec::with_capacity(n);
-        for r in results {
-            match r {
-                Some(sel) => {
-                    stats.push(sel.op.clone());
-                    dim_tables.push(Some(sel));
-                }
-                None => dim_tables.push(None),
-            }
-        }
-        Ok(dim_tables)
+/// Worker count for the fact pipeline: `opts.parallelism` if the stage-1
+/// operator's class is switched on, else 1 (sequential).
+fn pipeline_workers(plan: &Plan) -> usize {
+    let class_on = match plan.stages[0].main {
+        MainInput::SyncScan { .. } => plan.opts.par_scans,
+        MainInput::SelectProbe { .. } => plan.opts.par_joins,
+    };
+    if class_on {
+        plan.opts.parallelism.max(1)
+    } else {
+        1
     }
 }
 
-fn pool_down() -> QpptError {
-    QpptError::Internal("worker pool shut down while the query was queued".into())
+/// Morsels over the populated key interval of the stage-1 fact index.
+fn partition_morsels(db: &Database, plan: &Plan) -> Result<Vec<KeyRange>, QpptError> {
+    let fact_base = db.find_index(&plan.spec.fact, &plan.dims[0].fact_col_name)?;
+    let (Some(min), Some(max)) = (
+        fact_base.data.index.min_key(),
+        fact_base.data.index.max_key(),
+    ) else {
+        // Empty fact index: one full-range morsel keeps the pipeline
+        // shape (and its statistics records) intact.
+        return Ok(vec![KeyRange::full()]);
+    };
+    Ok(Partitioner::new(min, max, plan.opts.morsel_bits)
+        .morsels()
+        .to_vec())
+}
+
+/// Post-merge statistics fixup.
+///
+/// Merged `out_keys`/`out_tuples`/`memory_bytes` are per-partition sums.
+/// For the final join-group operator the same group key can appear in many
+/// partitions, so the sum overcounts — overwrite it with the merged index's
+/// true numbers. The last stage is always the aggregating one by plan
+/// construction, and its record is always the last operator pushed.
+/// Intermediate-stage records keep the summed semantics (their `out_keys`
+/// is an upper bound on distinct keys when a stage-2+ join key spans
+/// partitions); see `OpStats::absorb_partition`.
+fn fix_merged_agg_stats(agg: &AggTable, stats: &mut ExecStats) {
+    if let Some(last) = stats.ops.last_mut() {
+        last.out_keys = agg.group_count();
+        last.out_tuples = agg.group_count();
+        last.memory_bytes = agg.memory_bytes();
+    }
 }
 
 /// The fact-pipeline job: a per-query morsel queue on the shared pool.
@@ -367,6 +274,38 @@ struct MorselJob {
     batch: BatchMode,
 }
 
+impl MorselJob {
+    /// One participant's morsel loop: pull unclaimed morsel indexes and run
+    /// the fact pipeline over each, accumulating into a private aggregation
+    /// table. Returns `None` if no morsel was claimed (late arrival).
+    fn drain_morsels(&self) -> Result<Option<(AggTable, ExecStats)>, QpptError> {
+        let mut agg: Option<AggTable> = None;
+        let mut stats = ExecStats::default();
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&morsel) = self.morsels.get(i) else {
+                break;
+            };
+            let acc = agg.get_or_insert_with(|| new_agg_table(&self.plan));
+            let ops = run_pipeline(
+                &self.db,
+                self.snap,
+                &self.plan,
+                &self.dim_tables,
+                Some(morsel),
+                self.fused.as_ref().as_ref(),
+                self.batch,
+                acc,
+            )?;
+            stats.merge_partition(&ExecStats {
+                ops,
+                total_micros: 0,
+            });
+        }
+        Ok(agg.map(|a| (a, stats)))
+    }
+}
+
 impl PoolJob for MorselJob {
     fn max_workers(&self) -> usize {
         self.max_workers
@@ -379,16 +318,7 @@ impl PoolJob for MorselJob {
 
     fn work(&self) {
         let pid = self.participants.fetch_add(1, Ordering::Relaxed);
-        match drain_morsels(
-            &self.db,
-            self.snap,
-            &self.plan,
-            &self.dim_tables,
-            self.fused.as_ref().as_ref(),
-            &self.morsels,
-            &self.next,
-            self.batch,
-        ) {
+        match self.drain_morsels() {
             Ok(Some((agg, stats))) => {
                 self.partials
                     .lock()
@@ -400,50 +330,6 @@ impl PoolJob for MorselJob {
                 self.aborted.store(true, Ordering::Relaxed);
                 let mut err = self.error.lock().expect("job lock");
                 err.get_or_insert(e);
-            }
-        }
-    }
-}
-
-/// The dimension-selection job: one task per materialized dimension.
-struct DimJob {
-    db: Arc<Database>,
-    snap: Snapshot,
-    plan: Arc<Plan>,
-    /// Dimension indexes to materialize.
-    tasks: Vec<usize>,
-    next: AtomicUsize,
-    /// Slot per dimension (not per task), so output stays in dim order.
-    results: Mutex<Vec<Option<Arc<DimSelection>>>>,
-    error: Mutex<Option<QpptError>>,
-    aborted: AtomicBool,
-    max_workers: usize,
-}
-
-impl PoolJob for DimJob {
-    fn max_workers(&self) -> usize {
-        self.max_workers
-    }
-
-    fn has_work(&self) -> bool {
-        !self.aborted.load(Ordering::Relaxed)
-            && self.next.load(Ordering::Relaxed) < self.tasks.len()
-    }
-
-    fn work(&self) {
-        loop {
-            let t = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(&di) = self.tasks.get(t) else {
-                break;
-            };
-            match materialize_dim_selection(&self.db, self.snap, &self.plan, di) {
-                Ok(r) => self.results.lock().expect("job lock")[di] = r,
-                Err(e) => {
-                    self.aborted.store(true, Ordering::Relaxed);
-                    let mut err = self.error.lock().expect("job lock");
-                    err.get_or_insert(e);
-                    break;
-                }
             }
         }
     }

@@ -48,7 +48,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qppt_cache::{CacheConfig, CacheStats, CachedResult, QueryCache, QueryFingerprint};
-use qppt_core::{ExecStats, OpStats, PartialAggregate, PlanOptions, QpptEngine, QpptError};
+use qppt_core::inter::AggTable;
+use qppt_core::{
+    ExecStats, OpStats, PartialAggregate, PlanOptions, PreparedQuery, QpptEngine, QpptError,
+};
 use qppt_obs::Trace;
 use qppt_par::{prepare_indexes_pooled, PooledEngine, WorkerPool};
 use qppt_ssb::{queries, SsbDb};
@@ -406,35 +409,10 @@ impl ServeEngine {
     ) -> Result<(QueryResult, ExecStats), ServeError> {
         let db = self.engine.db();
         let started = Instant::now();
-        if !use_cache || !self.cache.enabled() {
-            // The bypass path plans and materializes from scratch — run
-            // the full pre-flight (catalog, then index availability).
-            qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
-            let snap = db.snapshot();
-            let result = self
-                .engine
-                .run_at(spec, opts, snap, priority)
-                .map_err(ServeError::Engine)?;
-            if let Some(t) = trace.as_deref_mut() {
-                // Planning and materialization happen inside run_at; the
-                // bypass trace has a single exec span covering them all.
-                t.add(t.root(), "exec", elapsed_micros(started));
-            }
-            return Ok(result);
-        }
-
-        let fp = match QueryFingerprint::compute(db, spec, opts) {
-            Ok(fp) => fp,
-            // Fingerprinting fails only on catalog errors (unknown
-            // tables); prefer the validate pass's typed report.
-            Err(e) => {
-                qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
-                return Err(ServeError::Engine(QpptError::Storage(e)));
-            }
-        };
+        let fp = self.fingerprint(spec, opts, use_cache)?;
 
         // Tier 3: full result — served without touching the pool.
-        if let Some(hit) = self.cache.get_result(&fp) {
+        if let Some(hit) = fp.as_ref().and_then(|fp| self.cache.get_result(fp)) {
             let mut stats = hit.stats.clone();
             stats.push(cache_op("cache: result hit", hit.result.rows.len()));
             stats.total_micros = started.elapsed().as_micros();
@@ -444,36 +422,21 @@ impl ServeEngine {
             return Ok((hit.result.clone(), stats));
         }
 
-        let (prepared, tier_label, assembly, phases) = self.assemble_prepared(&fp, spec, opts)?;
-
-        // run_prepared decomposed into its two halves (identical code
-        // path — see PooledEngine::run_prepared) so exec and decode get
-        // their own spans; total_micros is restamped below either way.
-        // The batch mode comes from the *request's* options: the cached
-        // plan may carry stale batch knobs (they are fingerprint-exempt).
-        let exec_started = Instant::now();
-        let (agg, mut stats) = self
-            .engine
-            .run_prepared_agg(&prepared, priority, opts.batch_mode())
-            .map_err(ServeError::Engine)?;
-        let exec_micros = elapsed_micros(exec_started);
+        let parts = self.prepare(fp.as_ref(), spec, opts)?;
+        let (agg, mut stats, exec_micros) = self.execute(&parts.prepared, opts, priority)?;
         let decode_started = Instant::now();
-        let result = qppt_core::exec::decode_result(db, &prepared.plan, &agg);
-        if let Some(t) = trace {
-            t.add(t.root(), "plan", phases.plan_micros);
-            t.add(t.root(), "sigma", phases.sigma_micros);
-            t.add(t.root(), "exec", exec_micros);
-            t.add(t.root(), "decode", elapsed_micros(decode_started));
+        let result = qppt_core::exec::decode_result(db, &parts.prepared.plan, &agg);
+        parts.trace(trace, exec_micros, decode_started);
+        if let Some(fp) = &fp {
+            self.cache.put_result(
+                fp,
+                Arc::new(CachedResult {
+                    result: result.clone(),
+                    stats: stats.clone(),
+                }),
+            );
         }
-        self.cache.put_result(
-            &fp,
-            Arc::new(CachedResult {
-                result: result.clone(),
-                stats: stats.clone(),
-            }),
-        );
-        stats.push(cache_op(tier_label, result.rows.len()));
-        push_assembly_op(&mut stats, assembly);
+        parts.push_cache_ops(&mut stats, result.rows.len());
         stats.total_micros = started.elapsed().as_micros();
         Ok((result, stats))
     }
@@ -512,51 +475,90 @@ impl ServeEngine {
     ) -> Result<(PartialAggregate, ExecStats), ServeError> {
         let db = self.engine.db();
         let started = Instant::now();
-        if !use_cache || !self.cache.enabled() {
-            qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
-            let snap = db.snapshot();
-            let (plan, agg, stats) = self
-                .engine
-                .run_at_agg(spec, opts, snap, priority)
-                .map_err(ServeError::Engine)?;
-            let partial = PartialAggregate::from_agg(db, &plan, &agg);
-            if let Some(t) = trace {
-                t.add(t.root(), "exec", elapsed_micros(started));
-            }
-            return Ok((partial, stats));
-        }
-
-        let fp = match QueryFingerprint::compute(db, spec, opts) {
-            Ok(fp) => fp,
-            Err(e) => {
-                qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
-                return Err(ServeError::Engine(QpptError::Storage(e)));
-            }
-        };
-        let (prepared, tier_label, assembly, phases) = self.assemble_prepared(&fp, spec, opts)?;
-        let exec_started = Instant::now();
-        let (agg, mut stats) = self
-            .engine
-            .run_prepared_agg(&prepared, priority, opts.batch_mode())
-            .map_err(ServeError::Engine)?;
-        let exec_micros = elapsed_micros(exec_started);
+        let fp = self.fingerprint(spec, opts, use_cache)?;
+        let parts = self.prepare(fp.as_ref(), spec, opts)?;
+        let (agg, mut stats, exec_micros) = self.execute(&parts.prepared, opts, priority)?;
         let decode_started = Instant::now();
-        let partial = PartialAggregate::from_agg(db, &prepared.plan, &agg);
-        if let Some(t) = trace {
-            t.add(t.root(), "plan", phases.plan_micros);
-            t.add(t.root(), "sigma", phases.sigma_micros);
-            t.add(t.root(), "exec", exec_micros);
-            t.add(t.root(), "decode", elapsed_micros(decode_started));
-        }
-        stats.push(cache_op(tier_label, partial.rows.len()));
-        push_assembly_op(&mut stats, assembly);
+        let partial = PartialAggregate::from_agg(db, &parts.prepared.plan, &agg);
+        parts.trace(trace, exec_micros, decode_started);
+        parts.push_cache_ops(&mut stats, partial.rows.len());
         stats.total_micros = started.elapsed().as_micros();
         Ok((partial, stats))
     }
 
+    /// The request's cache key, or `None` when the request bypasses every
+    /// tier (`cache=off`, or a server running with caching disabled).
+    fn fingerprint(
+        &self,
+        spec: &QuerySpec,
+        opts: &PlanOptions,
+        use_cache: bool,
+    ) -> Result<Option<QueryFingerprint>, ServeError> {
+        if !use_cache || !self.cache.enabled() {
+            return Ok(None);
+        }
+        let db = self.engine.db();
+        match QueryFingerprint::compute(db, spec, opts) {
+            Ok(fp) => Ok(Some(fp)),
+            // Fingerprinting fails only on catalog errors (unknown
+            // tables); prefer the validate pass's typed report.
+            Err(e) => {
+                qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
+                Err(ServeError::Engine(QpptError::Storage(e)))
+            }
+        }
+    }
+
+    /// Fetches or builds the [`PreparedQuery`]: through the cache tiers
+    /// when the request has a fingerprint, from scratch with no tier
+    /// touched otherwise (the bypass: validate → plan → materialize σ).
+    fn prepare(
+        &self,
+        fp: Option<&QueryFingerprint>,
+        spec: &QuerySpec,
+        opts: &PlanOptions,
+    ) -> Result<PreparedParts, ServeError> {
+        if let Some(fp) = fp {
+            return self.assemble_prepared(fp, spec, opts);
+        }
+        let db = self.engine.db();
+        let plan_started = Instant::now();
+        qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
+        let plan = Arc::new(qppt_core::build_plan(db, spec, opts).map_err(ServeError::Engine)?);
+        let plan_micros = elapsed_micros(plan_started);
+        let sigma_started = Instant::now();
+        let prepared =
+            PreparedQuery::from_plan(db, plan, db.snapshot()).map_err(ServeError::Engine)?;
+        Ok(PreparedParts {
+            prepared: Arc::new(prepared),
+            tier: None,
+            assembly: None,
+            plan_micros,
+            sigma_micros: elapsed_micros(sigma_started),
+        })
+    }
+
+    /// Runs the prepared query on the pool up to the merged aggregation
+    /// index (the exec span; decode is the caller's). The batch mode comes
+    /// from the *request's* options: a cached plan may carry stale batch
+    /// knobs (they are fingerprint-exempt).
+    fn execute(
+        &self,
+        prepared: &PreparedQuery,
+        opts: &PlanOptions,
+        priority: i32,
+    ) -> Result<(AggTable, ExecStats, u64), ServeError> {
+        let exec_started = Instant::now();
+        let (agg, stats) = self
+            .engine
+            .run_prepared_agg(prepared, priority, opts.batch_mode())
+            .map_err(ServeError::Engine)?;
+        Ok((agg, stats, elapsed_micros(exec_started)))
+    }
+
     /// Tiers 1–2 of the cached pipeline, shared by full and partial mode:
-    /// fetch or compose the [`PreparedQuery`](qppt_core::PreparedQuery)
-    /// through the selection, plan, and dimension tiers.
+    /// fetch or compose the [`PreparedQuery`] through the selection, plan,
+    /// and dimension tiers.
     fn assemble_prepared(
         &self,
         fp: &QueryFingerprint,
@@ -569,52 +571,50 @@ impl ServeEngine {
         // per-dimension cache walk, and the fused-selection scan — the
         // PreparedQuery already owns its plan and σ handles, so the plan
         // and dimension tiers are only consulted on a selection miss).
-        match self.cache.get_selections(fp) {
-            Some(p) => {
-                let phases = AssemblyPhases {
-                    plan_micros: elapsed_micros(plan_started),
-                    sigma_micros: 0,
-                };
-                Ok((p, "cache: selection hit", None, phases))
-            }
-            None => {
-                // Tier 1: plan (skips build_plan on hit — and with it the
-                // whole validate pass: a cached plan at this fingerprint
-                // proves the spec and its indexes validated at these very
-                // table versions).
-                let (plan, label) = match self.cache.get_plan(fp) {
-                    Some(p) => (p, "cache: plan hit"),
-                    None => {
-                        // Cold: build_plan runs the catalog validation
-                        // itself (typed errors first — an unknown column
-                        // beats a missing index on that column); the
-                        // index-availability check layers on top before
-                        // any materialization, execution, or caching.
-                        let p = Arc::new(
-                            qppt_core::build_plan(db, spec, opts).map_err(ServeError::Engine)?,
-                        );
-                        qppt_core::validate_indexes(db, spec, opts).map_err(ServeError::Engine)?;
-                        self.cache.put_plan(fp, p.clone());
-                        (p, "cache: cold")
-                    }
-                };
-                let plan_micros = elapsed_micros(plan_started);
-                // Assemble from parts: shared σ handles out of the
-                // dimension tier, missing ones materialized + cached.
-                let sigma_started = Instant::now();
-                let (prepared, assembly) = self
-                    .cache
-                    .prepare_from_parts(db, plan, opts, db.snapshot())
-                    .map_err(ServeError::Engine)?;
-                let p = Arc::new(prepared);
-                self.cache.put_selections(fp, p.clone());
-                let phases = AssemblyPhases {
-                    plan_micros,
-                    sigma_micros: elapsed_micros(sigma_started),
-                };
-                Ok((p, label, Some(assembly), phases))
-            }
+        if let Some(prepared) = self.cache.get_selections(fp) {
+            return Ok(PreparedParts {
+                prepared,
+                tier: Some("cache: selection hit"),
+                assembly: None,
+                plan_micros: elapsed_micros(plan_started),
+                sigma_micros: 0,
+            });
         }
+        // Tier 1: plan (skips build_plan on hit — and with it the whole
+        // validate pass: a cached plan at this fingerprint proves the spec
+        // and its indexes validated at these very table versions).
+        let (plan, tier) = match self.cache.get_plan(fp) {
+            Some(p) => (p, "cache: plan hit"),
+            None => {
+                // Cold: build_plan runs the catalog validation itself
+                // (typed errors first — an unknown column beats a missing
+                // index on that column); the index-availability check
+                // layers on top before any materialization, execution, or
+                // caching.
+                let p =
+                    Arc::new(qppt_core::build_plan(db, spec, opts).map_err(ServeError::Engine)?);
+                qppt_core::validate_indexes(db, spec, opts).map_err(ServeError::Engine)?;
+                self.cache.put_plan(fp, p.clone());
+                (p, "cache: cold")
+            }
+        };
+        let plan_micros = elapsed_micros(plan_started);
+        // Assemble from parts: shared σ handles out of the dimension tier,
+        // missing ones materialized + cached.
+        let sigma_started = Instant::now();
+        let (prepared, assembly) = self
+            .cache
+            .prepare_from_parts(db, plan, opts, db.snapshot())
+            .map_err(ServeError::Engine)?;
+        let prepared = Arc::new(prepared);
+        self.cache.put_selections(fp, prepared.clone());
+        Ok(PreparedParts {
+            prepared,
+            tier: Some(tier),
+            assembly: Some(assembly),
+            plan_micros,
+            sigma_micros: elapsed_micros(sigma_started),
+        })
     }
 
     /// Renders the physical plan of a named query under the default
@@ -638,24 +638,40 @@ impl ServeEngine {
     }
 }
 
-/// The product of [`ServeEngine::assemble_prepared`]: the prepared query,
-/// the tier that produced it, (on the assemble-from-parts path) the
-/// dimension-tier share/build counts, and the phase wall times feeding
-/// the request's plan/sigma trace spans.
-type PreparedParts = (
-    Arc<qppt_core::PreparedQuery>,
-    &'static str,
-    Option<qppt_cache::DimAssembly>,
-    AssemblyPhases,
-);
-
-/// Wall micros of the two assembly phases (plan fetch/build, σ
-/// materialization), measured unconditionally — two `Instant` reads —
-/// and surfaced as spans when the request is traced.
-#[derive(Debug, Clone, Copy, Default)]
-struct AssemblyPhases {
+/// The product of [`ServeEngine::prepare`]: the prepared query, the tier
+/// that produced it (`None` on the bypass), (on the assemble-from-parts
+/// path) the dimension-tier share/build counts, and the wall micros of the
+/// two assembly phases (plan fetch/build, σ materialization), measured
+/// unconditionally — two `Instant` reads — and surfaced as spans when the
+/// request is traced.
+struct PreparedParts {
+    prepared: Arc<PreparedQuery>,
+    tier: Option<&'static str>,
+    assembly: Option<qppt_cache::DimAssembly>,
     plan_micros: u64,
     sigma_micros: u64,
+}
+
+impl PreparedParts {
+    /// Records the request's plan → sigma → exec → decode spans (decode
+    /// ends now).
+    fn trace(&self, trace: Option<&mut Trace>, exec_micros: u64, decode_started: Instant) {
+        if let Some(t) = trace {
+            t.add(t.root(), "plan", self.plan_micros);
+            t.add(t.root(), "sigma", self.sigma_micros);
+            t.add(t.root(), "exec", exec_micros);
+            t.add(t.root(), "decode", elapsed_micros(decode_started));
+        }
+    }
+
+    /// Appends the tier and dimension-assembly `# op` records — nothing on
+    /// the bypass, which touches no tier.
+    fn push_cache_ops(&self, stats: &mut ExecStats, rows: usize) {
+        if let Some(tier) = self.tier {
+            stats.push(cache_op(tier, rows));
+            push_assembly_op(stats, self.assembly);
+        }
+    }
 }
 
 /// Saturating `u64` micros since `started`.

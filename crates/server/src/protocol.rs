@@ -27,8 +27,8 @@
 //!            | "group=…" | "order=…" | "id=…"  ; see qppt-query
 //! option     = key "=" value
 //! key        = "parallelism" | "morsel_bits" | "join_buffer"
-//!            | "select_join" | "par_selections" | "par_scans"
-//!            | "par_joins" | "batch_exec" | "batch_rows"
+//!            | "select_join" | "par_scans" | "par_joins"
+//!            | "batch_exec" | "batch_rows"
 //!            | "priority" | "cache" | "mode" | "trace"
 //! ```
 //!
@@ -384,7 +384,6 @@ pub fn apply_overrides(
             "morsel_bits" => opts.morsel_bits = v.parse().map_err(|_| bad("1..=16"))?,
             "join_buffer" => opts.join_buffer = v.parse().map_err(|_| bad("positive integer"))?,
             "select_join" => opts.select_join = parse_bool(v).ok_or_else(|| bad("bool"))?,
-            "par_selections" => opts.par_selections = parse_bool(v).ok_or_else(|| bad("bool"))?,
             "par_scans" => opts.par_scans = parse_bool(v).ok_or_else(|| bad("bool"))?,
             "par_joins" => opts.par_joins = parse_bool(v).ok_or_else(|| bad("bool"))?,
             "batch_exec" => opts.batch_exec = parse_bool(v).ok_or_else(|| bad("bool"))?,
@@ -413,8 +412,8 @@ pub fn apply_overrides(
             other => {
                 return Err(format!(
                     "unknown option {other} (try parallelism, morsel_bits, join_buffer, \
-                     select_join, par_selections, par_scans, par_joins, batch_exec, batch_rows, \
-                     priority, cache, mode, trace)"
+                     select_join, par_scans, par_joins, batch_exec, batch_rows, priority, \
+                     cache, mode, trace)"
                 ))
             }
         }

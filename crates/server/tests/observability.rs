@@ -205,8 +205,7 @@ fn traced_requests_return_valid_span_trees_and_identical_bytes() {
     let untraced = client.run("q3.2", &[("cache", "off")]).expect("untraced");
     assert!(untraced.stats.spans.is_empty(), "no trace ⇒ no spans");
 
-    // Cold traced run (fresh fingerprint via cache=off bypasses tiers —
-    // use a *cached* cold run instead so plan/σ/exec/decode all appear).
+    // Cold traced run: the cached path's first miss.
     let cold = client.run("q3.2", &[("trace", "on")]).expect("cold traced");
     assert_eq!(
         cold.result, untraced.result,
@@ -231,13 +230,20 @@ fn traced_requests_return_valid_span_trees_and_identical_bytes() {
         "warm trace must mark the result-tier hit"
     );
 
-    // Traced bypass run: a single exec span under the root.
+    // Traced bypass run: the same plan → sigma → exec → decode phases as
+    // a cold cached run, with no tier touched.
     let bypass = client
         .run("q3.2", &[("cache", "off"), ("trace", "12345")])
         .expect("traced bypass");
     assert_eq!(bypass.result, untraced.result);
     validate_span_tree(&bypass.stats.spans).expect("bypass span tree validates");
-    assert!(bypass.stats.spans.iter().any(|s| s.name == "exec"));
+    let names: Vec<&str> = bypass.stats.spans.iter().map(|s| s.name.as_str()).collect();
+    for want in ["plan", "sigma", "exec", "decode"] {
+        assert!(
+            names.contains(&want),
+            "bypass trace must contain {want}: {names:?}"
+        );
+    }
 
     // Partial mode carries spans too (the shard side of a routed trace).
     let partial = client

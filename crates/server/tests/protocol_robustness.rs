@@ -51,6 +51,7 @@ fn garbage_requests_error_but_connection_survives() {
         b"RUN q1.1 batch_exec=maybe\n", // bad batch_exec value
         b"RUN q9.9\n",                  // unknown query
         b"RUN q1.1 cache=maybe\n",      // bad cache value
+        b"RUN q1.1 par_selections=on\n", // removed option: unknown key
         b"CACHE\n",                     // missing subcommand
         b"CACHE FLUSH\n",               // unknown subcommand
         b"CACHE STATS extra\n",         // trailing token
@@ -82,6 +83,15 @@ fn garbage_requests_error_but_connection_survives() {
             String::from_utf8_lossy(case)
         );
     }
+
+    // The removed `par_selections` knob is rejected by name, not ignored.
+    stream.write_all(b"RUN q1.1 par_selections=on\n").unwrap();
+    stream.flush().unwrap();
+    let resp = read_line(&mut reader);
+    assert!(
+        resp.starts_with("ERR ") && resp.contains("unknown option par_selections"),
+        "got: {resp}"
+    );
 
     // Blank and whitespace-only lines are ignored, not fatal.
     stream.write_all(b"\n   \n\r\n").unwrap();

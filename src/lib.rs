@@ -26,10 +26,9 @@
 //! * [`mem`] — arenas, segmented duplicate storage, prefetching, and the
 //!   deterministic PRNG underneath everything.
 //! * [`par`] — morsel-driven parallel execution over prefix-tree
-//!   partitions: [`par::ParEngine`] / [`par::RunParallel`] run the same
-//!   plans as [`core`] on a worker pool, byte-identical results;
-//!   [`par::PooledEngine`] runs them on a persistent shared
-//!   [`par::WorkerPool`] serving many concurrent queries.
+//!   partitions: [`par::PooledEngine`] runs the same plans as [`core`]
+//!   on a persistent shared [`par::WorkerPool`] serving many concurrent
+//!   queries, with byte-identical results.
 //! * [`cache`] — the snapshot-keyed query cache: bounded sharded LRU
 //!   tiers for plans, materialized dimension selections, and full results,
 //!   invalidated exactly by per-table versions
