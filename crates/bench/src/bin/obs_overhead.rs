@@ -5,13 +5,19 @@
 //!
 //! Both servers stay up for the whole run and the timed passes alternate
 //! between them round-robin (A, B, A, B, …), so drift in the host's load
-//! hits both configurations equally; each configuration's q/s is the best
-//! round. Two paths are measured at every client count — `cache=off`
-//! (every request executes the engine; per-request bookkeeping is
-//! amortized over real work) and the warm cached path (result-tier hits,
-//! where the counter increments are the largest *relative* cost). The
-//! regression gate applies to the cached path: it is the adversarial case
-//! for instrumentation overhead.
+//! hits both configurations equally; each configuration's reported q/s is
+//! its median round. Every pass is the shared [`qppt_bench::timed_pass`]:
+//! clients connect before the clock starts, a barrier releases them
+//! together, and each issues at least the pass's query count and keeps
+//! going until `WINDOW` has elapsed — so a pass times requests, not thread
+//! spawn and TCP connect.
+//!
+//! Two paths are measured at every client count — `cache=off` (every
+//! request executes the engine; per-request bookkeeping is amortized over
+//! real work) and the warm cached path (result-tier hits, where the
+//! counter increments are the largest *relative* cost). The regression
+//! gate applies to the cached path: it is the adversarial case for
+//! instrumentation overhead.
 //!
 //! Writes `BENCH_OBS_OVERHEAD.json` and exits non-zero if the cached-path
 //! regression at any client count exceeds `--max-regression-pct`
@@ -29,14 +35,20 @@
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
-use qppt_bench::{arg_f64, arg_str, arg_usize, arg_usize_list, print_table};
+use qppt_bench::{
+    arg_f64, arg_str, arg_usize, arg_usize_list, percentile, print_table, timed_pass,
+};
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
 use qppt_par::WorkerPool;
 use qppt_server::{detected_cores, serve, QpptClient, ServeEngine, ServeObs};
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::QuerySpec;
+
+/// Minimum timed span of one pass: long enough that even a cached pass
+/// (tens of µs per request) times thousands of requests.
+const WINDOW: Duration = Duration::from_millis(300);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,27 +109,10 @@ fn main() {
         // timed cached pass below measures warm hits on both servers.
     }
 
-    let pass = |addr: SocketAddr, c: usize, n: usize, cache: &'static str| -> f64 {
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for ci in 0..c {
-                let mix = &mix;
-                s.spawn(move || {
-                    let mut client = QpptClient::connect(addr).expect("connect");
-                    let par = parallelism.to_string();
-                    for i in 0..n {
-                        let q = &mix[(ci + i) % mix.len()];
-                        client
-                            .run(
-                                &q.id.to_ascii_lowercase(),
-                                &[("parallelism", &par), ("cache", cache)],
-                            )
-                            .expect("bench query");
-                    }
-                });
-            }
-        });
-        (c * n) as f64 / t0.elapsed().as_secs_f64()
+    let par = parallelism.to_string();
+    let pass = |addr: SocketAddr, c: usize, n: usize, cache: &str| -> f64 {
+        let options = [("parallelism", par.as_str()), ("cache", cache)];
+        timed_pass(&addr.to_string(), &mix, c, n, WINDOW, &options)
     };
 
     let mut rows = Vec::new();
@@ -125,9 +120,9 @@ fn main() {
     let mut gate_failures = Vec::new();
     for &c in &clients {
         // Alternate configurations within every round so host-load drift
-        // cancels; keep each configuration's best round.
-        let (mut obs_engine_qps, mut bare_engine_qps) = (0f64, 0f64);
-        let (mut obs_cached_qps, mut bare_cached_qps) = (0f64, 0f64);
+        // cancels; report each configuration's median round.
+        let (mut obs_engine_rounds, mut bare_engine_rounds) = (Vec::new(), Vec::new());
+        let (mut obs_cached_rounds, mut bare_cached_rounds) = (Vec::new(), Vec::new());
         let mut round_cached_regs = Vec::new();
         for round in 0..rounds {
             // Swap which server goes first every round, so neither side
@@ -150,14 +145,18 @@ fn main() {
             } else {
                 (se, fe, sc, fc)
             };
-            obs_engine_qps = obs_engine_qps.max(oe);
-            bare_engine_qps = bare_engine_qps.max(be);
-            obs_cached_qps = obs_cached_qps.max(oc);
-            bare_cached_qps = bare_cached_qps.max(bc);
+            obs_engine_rounds.push(oe);
+            bare_engine_rounds.push(be);
+            obs_cached_rounds.push(oc);
+            bare_cached_rounds.push(bc);
             if bc > 0.0 {
                 round_cached_regs.push((1.0 - oc / bc) * 100.0);
             }
         }
+        let obs_engine_qps = percentile(&mut obs_engine_rounds, 50.0);
+        let bare_engine_qps = percentile(&mut bare_engine_rounds, 50.0);
+        let obs_cached_qps = percentile(&mut obs_cached_rounds, 50.0);
+        let bare_cached_qps = percentile(&mut bare_cached_rounds, 50.0);
         let regression = |instrumented: f64, bare: f64| {
             if bare > 0.0 {
                 (1.0 - instrumented / bare) * 100.0
@@ -200,7 +199,9 @@ fn main() {
 
     println!(
         "observability overhead, sf={sf}, pool={threads} threads, parallelism={parallelism}, \
-         {queries_per_client} engine + {cached_queries} cached queries/client, best of {rounds} rounds:"
+         ≥ {queries_per_client} engine + ≥ {cached_queries} cached queries/client \
+         (≥ {} ms per pass), median of {rounds} rounds:",
+        WINDOW.as_millis()
     );
     print_table(
         &[
@@ -232,8 +233,10 @@ fn main() {
          \"pool_threads\": {threads},\n  \"parallelism\": {parallelism},\n  \
          \"queries_per_client\": {queries_per_client},\n  \
          \"cached_queries_per_client\": {cached_queries},\n  \"rounds\": {rounds},\n  \
+         \"window_ms\": {},\n  \
          \"max_regression_pct\": {max_regression_pct},\n  \
          \"mix\": [\"Q1.1\", \"Q2.3\", \"Q3.2\", \"Q4.1\"],\n  \"series\": [\n{}\n  ]\n}}\n",
+        WINDOW.as_millis(),
         entries.join(",\n")
     );
     let mut f = std::fs::File::create(&out_path).expect("create output file");

@@ -39,11 +39,10 @@
 //! ```
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qppt_bench::{arg_f64, arg_str, arg_usize, print_table};
+use qppt_bench::{arg_f64, arg_str, arg_usize, percentile, print_table, timed_pass};
 use qppt_cache::CacheConfig;
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
 use qppt_par::WorkerPool;
@@ -176,16 +175,13 @@ fn main() {
         }
     }
     eprintln!("timing {ROUNDS} rounds of uncached scatter vs warm hits …");
+    let par = parallelism.to_string();
     let pass = |bypass: bool| {
-        timed_pass(
-            &raddr,
-            &mix,
-            clients,
-            queries_per_client,
-            WINDOW,
-            parallelism,
-            bypass,
-        )
+        let mut options = vec![("parallelism", par.as_str())];
+        if bypass {
+            options.push(("cache", "off"));
+        }
+        timed_pass(&raddr, &mix, clients, queries_per_client, WINDOW, &options)
     };
     let mut uncached_rounds = Vec::with_capacity(ROUNDS);
     let mut warm_rounds = Vec::with_capacity(ROUNDS);
@@ -322,57 +318,4 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-/// Nearest-rank percentile over an unsorted sample (sorts in place).
-fn percentile(sample: &mut [f64], p: f64) -> f64 {
-    assert!(!sample.is_empty());
-    sample.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let idx = ((p / 100.0) * (sample.len() - 1) as f64).round() as usize;
-    sample[idx.min(sample.len() - 1)]
-}
-
-/// One timed round: C clients, each on its own connection, round-robin
-/// over the mix. Every client connects before the clock starts; a barrier
-/// releases them together, and each issues at least `min_per_client`
-/// requests and keeps going until `window` has elapsed. `bypass` adds
-/// `cache=off` so every request scatters. Returns queries/second.
-fn timed_pass(
-    addr: &str,
-    mix: &[QuerySpec],
-    clients: usize,
-    min_per_client: usize,
-    window: Duration,
-    parallelism: usize,
-    bypass: bool,
-) -> f64 {
-    let par = parallelism.to_string();
-    let mut options = vec![("parallelism", par.as_str())];
-    if bypass {
-        options.push(("cache", "off"));
-    }
-    let start = Barrier::new(clients + 1);
-    let completed = AtomicUsize::new(0);
-    let t0 = std::thread::scope(|s| {
-        for ci in 0..clients {
-            let (options, start, completed) = (&options, &start, &completed);
-            s.spawn(move || {
-                let mut client = QpptClient::connect(addr).expect("connect");
-                start.wait();
-                let deadline = Instant::now() + window;
-                let mut i = 0;
-                while i < min_per_client || Instant::now() < deadline {
-                    let q = &mix[(ci + i) % mix.len()];
-                    client
-                        .run(&q.id.to_ascii_lowercase(), options)
-                        .expect("timed query");
-                    i += 1;
-                }
-                completed.fetch_add(i, Ordering::Relaxed);
-            });
-        }
-        start.wait();
-        Instant::now()
-    });
-    completed.into_inner() as f64 / t0.elapsed().as_secs_f64()
 }

@@ -6,8 +6,9 @@
 //! deterministic merge) rather than hardware.
 //!
 //! Every timed pass runs with `cache=off` so each request really scatters
-//! and merges; a correctness anchor first asserts every merged answer is
-//! byte-identical to the sequential oracle.
+//! and merges, and its clients connect before the clock starts (the shared
+//! [`qppt_bench::timed_pass`]); a correctness anchor first asserts every
+//! merged answer is byte-identical to the sequential oracle.
 //!
 //! A final `failover_latency` phase measures what a replica failover
 //! *costs* the request that hits it: a 2-range × 2-replica fleet (primary
@@ -27,7 +28,9 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qppt_bench::{arg_f64, arg_str, arg_usize, arg_usize_list, print_table};
+use qppt_bench::{
+    arg_f64, arg_str, arg_usize, arg_usize_list, percentile, print_table, timed_pass,
+};
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
 use qppt_par::WorkerPool;
 use qppt_router::{serve_router, ChaosProxy, Router, RouterConfig};
@@ -83,7 +86,19 @@ fn main() {
     )
     .expect("direct server binds");
     let direct_addr = direct.addr().to_string();
-    let baseline_qps = timed_pass(&direct_addr, &mix, clients, queries_per_client, parallelism);
+    let par = parallelism.to_string();
+    let options = [("parallelism", par.as_str()), ("cache", "off")];
+    let pass = |addr: &str| {
+        timed_pass(
+            addr,
+            &mix,
+            clients,
+            queries_per_client,
+            Duration::ZERO,
+            &options,
+        )
+    };
+    let baseline_qps = pass(&direct_addr);
 
     let mut rows = Vec::new();
     let mut series = Vec::new();
@@ -120,7 +135,7 @@ fn main() {
             }
         }
 
-        let qps = timed_pass(&raddr, &mix, clients, queries_per_client, parallelism);
+        let qps = pass(&raddr);
         let ratio = if baseline_qps > 0.0 {
             qps / baseline_qps
         } else {
@@ -271,42 +286,4 @@ fn failover_latency(
         h.stop();
     }
     (healthy_p50, added_p50, added_p99)
-}
-
-/// Nearest-rank percentile over an unsorted sample (sorts in place).
-fn percentile(sample: &mut [f64], p: f64) -> f64 {
-    assert!(!sample.is_empty());
-    sample.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let idx = ((p / 100.0) * (sample.len() - 1) as f64).round() as usize;
-    sample[idx.min(sample.len() - 1)]
-}
-
-/// C clients, each on its own connection, round-robin over the mix with
-/// the cache bypassed. Returns queries/second.
-fn timed_pass(
-    addr: &str,
-    mix: &[QuerySpec],
-    clients: usize,
-    queries_per_client: usize,
-    parallelism: usize,
-) -> f64 {
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for ci in 0..clients {
-            s.spawn(move || {
-                let mut client = QpptClient::connect(addr).expect("connect");
-                let par = parallelism.to_string();
-                for i in 0..queries_per_client {
-                    let q = &mix[(ci + i) % mix.len()];
-                    client
-                        .run(
-                            &q.id.to_ascii_lowercase(),
-                            &[("parallelism", &par), ("cache", "off")],
-                        )
-                        .expect("timed query");
-                }
-            });
-        }
-    });
-    (clients * queries_per_client) as f64 / t0.elapsed().as_secs_f64()
 }

@@ -7,10 +7,13 @@
 //! *shapes* (who wins, by what factor, where crossovers sit), not absolute
 //! milliseconds from the authors' 2012 testbed.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use qppt_columnar::{ColumnAtATimeEngine, ColumnDb, VectorAtATimeEngine};
 use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
+use qppt_server::QpptClient;
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::{QueryResult, QuerySpec};
 
@@ -74,6 +77,55 @@ pub fn time_best_of<T>(n: usize, mut f: impl FnMut() -> T) -> Duration {
         best = best.min(d);
     }
     best
+}
+
+/// Nearest-rank percentile over an unsorted sample (sorts in place).
+pub fn percentile(sample: &mut [f64], p: f64) -> f64 {
+    assert!(!sample.is_empty());
+    sample.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+    let idx = ((p / 100.0) * (sample.len() - 1) as f64).round() as usize;
+    sample[idx.min(sample.len() - 1)]
+}
+
+/// One timed serving pass against the server or router at `addr`:
+/// `clients` connections, each round-robin over `mix` with the request
+/// `options`. Every client connects before the clock starts; a barrier
+/// releases them together, and each issues at least `min_per_client`
+/// requests and keeps going until `window` has elapsed — so even a pass of
+/// tens-of-µs cache hits times thousands of requests rather than thread
+/// spawn and TCP connect. Returns queries/second.
+pub fn timed_pass(
+    addr: &str,
+    mix: &[QuerySpec],
+    clients: usize,
+    min_per_client: usize,
+    window: Duration,
+    options: &[(&str, &str)],
+) -> f64 {
+    let start = Barrier::new(clients + 1);
+    let completed = AtomicUsize::new(0);
+    let t0 = std::thread::scope(|s| {
+        for ci in 0..clients {
+            let (start, completed) = (&start, &completed);
+            s.spawn(move || {
+                let mut client = QpptClient::connect(addr).expect("connect");
+                start.wait();
+                let deadline = Instant::now() + window;
+                let mut i = 0;
+                while i < min_per_client || Instant::now() < deadline {
+                    let q = &mix[(ci + i) % mix.len()];
+                    client
+                        .run(&q.id.to_ascii_lowercase(), options)
+                        .expect("timed query");
+                    i += 1;
+                }
+                completed.fetch_add(i, Ordering::Relaxed);
+            });
+        }
+        start.wait();
+        Instant::now()
+    });
+    completed.into_inner() as f64 / t0.elapsed().as_secs_f64()
 }
 
 /// Milliseconds as a fixed-width display value.
@@ -174,5 +226,7 @@ mod tests {
         let d = time_best_of(3, || 2 + 2);
         assert!(d < Duration::from_secs(1));
         assert!(ms(Duration::from_millis(5)) > 4.9);
+        assert_eq!(percentile(&mut [3.0, 1.0, 2.0], 50.0), 2.0);
+        assert_eq!(percentile(&mut [3.0, 1.0, 2.0], 100.0), 3.0);
     }
 }

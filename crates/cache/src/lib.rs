@@ -1,46 +1,34 @@
 //! # qppt-cache — snapshot-keyed caching for the serving hot path
 //!
 //! QPPT's intermediates are ordered, canonical index structures: at an
-//! unchanged snapshot the engine rebuilds byte-identical plans, dimension
-//! selections, and results on every run. This crate makes that reuse
-//! explicit with a four-tier, byte-budgeted, sharded LRU keyed by
+//! unchanged snapshot the engine rebuilds byte-identical dimension
+//! selections and results on every run. This crate makes that reuse
+//! explicit with a two-tier, byte-budgeted, sharded LRU keyed by
 //! *snapshot fingerprints* — structural hashes plus the version vector of
 //! exactly the tables an entry was computed from:
 //!
-//! 1. **Plan tier** — `Arc<Plan>` keyed per `(query, options)`: a hit
-//!    skips `build_plan`.
-//! 2. **Dimension tier** — `Arc<DimSelection>` keyed per *σ*
+//! 1. **Dimension tier** — `Arc<DimSelection>` keyed per *σ*
 //!    `(table, predicate set, carried columns, table version)`: one
 //!    materialized dimension `InterTable`, shared by **every query** whose
 //!    plan contains the same selection (Q3.1/Q3.2/Q3.3 all reuse one
-//!    `d_year BETWEEN 1992 AND 1997` table). This is the common-subwork
-//!    sharing the selection tier of PR 3 could not express: it cached a
-//!    whole `PreparedQuery` per query, so two queries sharing a σ each
-//!    paid the materialization.
-//! 3. **Selection tier** — `Arc<PreparedQuery>` keyed per
-//!    `(query, options)`: since PR 4 a cheap *composition* of shared
-//!    dimension handles plus the query-private fused stream; a hit
-//!    additionally skips the per-dimension cache walk and the
-//!    fused-selection scan.
-//! 4. **Result tier** — `Arc<CachedResult>`: a hit returns the decoded
-//!    rows without touching the worker pool at all.
+//!    `d_year BETWEEN 1992 AND 1997` table). On a result miss the serving
+//!    path plans afresh and composes its `PreparedQuery` from these shared
+//!    handles ([`QueryCache::prepare_from_parts`]); only the query-private
+//!    fused stream and the missing σ are built.
+//! 2. **Result tier** — `Arc<CachedResult>` keyed per `(query, options)`:
+//!    a hit returns the decoded rows without touching the worker pool at
+//!    all.
 //!
 //! ## Byte budgets, pinning, TTL
 //!
 //! Every tier is bounded by a **byte budget**, not an entry count: a
-//! materialized selection is orders of magnitude heavier than a plan, so
-//! counting entries sized nothing. Entries report their footprint through
-//! [`HeapSize`], which bottoms out in the engine's own estimators
-//! (`InterTable::memory_bytes`, `QueryResult::memory_bytes`,
-//! `Plan::memory_bytes`). Attribution is conservative: σ tables are
-//! billed to the dimension tier that owns them *and*, in full, to every
-//! cached composer that pins them — a composer is what keeps its σ alive
-//! even after the dim tier drops them, so the selection budget must cover
-//! that retained memory (total resident selection bytes are bounded by
-//! `dim_budget + selection_budget`). Eviction pops from each shard's
-//! intrusive recency list (O(victims), see [`lru`]) and prefers victims
-//! that are not pinned — an entry whose `Arc` is also held by an
-//! executing query or a composed prepared query frees nothing — but pins
+//! materialized selection is orders of magnitude heavier than a result
+//! row set, so counting entries sized nothing. Entries report their
+//! footprint through [`HeapSize`], which bottoms out in the engine's own
+//! estimators (`InterTable::memory_bytes`, `QueryResult::memory_bytes`).
+//! Eviction pops from each shard's intrusive recency list (O(victims),
+//! see [`lru`]) and prefers victims that are not pinned — an entry whose
+//! `Arc` is also held by an executing query frees nothing — but pins
 //! cannot break the bound: when only pinned entries remain, the coldest
 //! are dropped from the map while their holders keep the data alive. An
 //! optional idle TTL reclaims long-untouched entries even when the budget
@@ -54,8 +42,8 @@
 //! dimension fingerprints embed exactly their own table's version. So:
 //!
 //! * a write to a dimension table kills **exactly** that table's σ
-//!   entries (and the prepared/result entries of queries reading it) at
-//!   their next lookup — counted as an **invalidation**, stale bytes
+//!   entries (and the result entries of queries reading it) at their
+//!   next lookup — counted as an **invalidation**, stale bytes
 //!   never served;
 //! * entries over untouched tables keep hitting, including the other
 //!   dimension entries of the very queries that were invalidated — after
@@ -167,35 +155,9 @@ pub trait HeapSize {
     fn heap_bytes(&self) -> usize;
 }
 
-impl HeapSize for Plan {
-    fn heap_bytes(&self) -> usize {
-        self.memory_bytes()
-    }
-}
-
 impl HeapSize for DimSelection {
     fn heap_bytes(&self) -> usize {
         self.memory_bytes()
-    }
-}
-
-impl HeapSize for PreparedQuery {
-    /// Query-private bytes **plus** the composed σ tables, in full. This
-    /// deliberately over-counts shared σ (once per composer that pins
-    /// them) rather than under-counting: a cached composer is what keeps
-    /// its σ alive even after the dimension tier drops them under
-    /// pressure, so the selection budget must bound that retained memory.
-    /// Billing only `private_bytes` (KiB-scale) would let the tier retain
-    /// thousands of composers, each pinning megabytes of selections the
-    /// budgets no longer see.
-    fn heap_bytes(&self) -> usize {
-        self.private_bytes()
-            + self
-                .dims
-                .iter()
-                .flatten()
-                .map(|d| d.memory_bytes())
-                .sum::<usize>()
     }
 }
 
@@ -219,8 +181,8 @@ impl<T: HeapSize> CacheValue for Arc<T> {
     }
 
     /// Pinned while anyone outside the cache holds the `Arc`: an in-flight
-    /// execution, or — for dimension entries — a composed `PreparedQuery`
-    /// (cached or executing). Evicting such an entry frees nothing, so the
+    /// execution, or — for dimension entries — the `PreparedQuery` of an
+    /// executing query. Evicting such an entry frees nothing, so the
     /// LRU treats it as a last-resort victim (see [`CacheValue::pinned`]).
     fn pinned(&self) -> bool {
         Arc::strong_count(self) > 1
@@ -230,17 +192,9 @@ impl<T: HeapSize> CacheValue for Arc<T> {
 /// Byte budgets and geometry of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Byte budget of the plan tier (plans are a few KiB of resolved
-    /// metadata — this fits hundreds).
-    pub plan_budget: usize,
     /// Byte budget of the dimension tier — the heavy tier: one entry is a
     /// whole materialized `InterTable`. Keep this the largest.
     pub dim_budget: usize,
-    /// Byte budget of the selection tier. A composer bills its private
-    /// state (plan handle + fused stream) plus, conservatively, the σ
-    /// tables it pins — so this budget bounds the selection memory cached
-    /// composers keep alive (shared σ count once per composer).
-    pub selection_budget: usize,
     /// Byte budget of the result tier (decoded rows; SSB results are ≤ a
     /// few hundred rows).
     pub result_budget: usize,
@@ -257,10 +211,8 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
-            plan_budget: 4 << 20,       // 4 MiB
-            dim_budget: 256 << 20,      // 256 MiB
-            selection_budget: 64 << 20, // 64 MiB
-            result_budget: 32 << 20,    // 32 MiB
+            dim_budget: 256 << 20,   // 256 MiB
+            result_budget: 32 << 20, // 32 MiB
             ttl: None,
             shards: 8,
             enabled: true,
@@ -284,13 +236,11 @@ impl CacheConfig {
     }
 }
 
-/// Point-in-time statistics of all four tiers.
+/// Point-in-time statistics of both tiers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    pub plans: TierSnapshot,
-    pub dims: TierSnapshot,
-    pub selections: TierSnapshot,
     pub results: TierSnapshot,
+    pub dims: TierSnapshot,
 }
 
 /// How a prepared query's dimension handles were obtained from the
@@ -304,14 +254,12 @@ pub struct DimAssembly {
     pub built: usize,
 }
 
-/// The four-tier snapshot-keyed query cache (see module docs). Internally
+/// The two-tier snapshot-keyed query cache (see module docs). Internally
 /// synchronized — share it behind an `Arc` across connections.
 #[derive(Debug)]
 pub struct QueryCache {
-    plans: ShardedLru<Arc<Plan>>,
-    dims: ShardedLru<Arc<DimSelection>>,
-    selections: ShardedLru<Arc<PreparedQuery>>,
     results: ShardedLru<Arc<CachedResult>>,
+    dims: ShardedLru<Arc<DimSelection>>,
     enabled: bool,
 }
 
@@ -325,10 +273,8 @@ impl QueryCache {
     /// Creates a cache with the given budgets and geometry.
     pub fn new(config: CacheConfig) -> Self {
         Self {
-            plans: ShardedLru::new(config.plan_budget, config.shards, config.ttl),
-            dims: ShardedLru::new(config.dim_budget, config.shards, config.ttl),
-            selections: ShardedLru::new(config.selection_budget, config.shards, config.ttl),
             results: ShardedLru::new(config.result_budget, config.shards, config.ttl),
+            dims: ShardedLru::new(config.dim_budget, config.shards, config.ttl),
             enabled: config.enabled,
         }
     }
@@ -354,21 +300,6 @@ impl QueryCache {
         }
     }
 
-    /// Plan-tier lookup.
-    pub fn get_plan(&self, fp: &QueryFingerprint) -> Option<Arc<Plan>> {
-        if !self.enabled {
-            return None;
-        }
-        self.plans.get(fp)
-    }
-
-    /// Plan-tier insert.
-    pub fn put_plan(&self, fp: &QueryFingerprint, value: Arc<Plan>) {
-        if self.enabled {
-            self.plans.put(fp, value);
-        }
-    }
-
     /// Dimension-tier lookup (key from
     /// [`QueryFingerprint::compute_dim`]).
     pub fn get_dim(&self, fp: &QueryFingerprint) -> Option<Arc<DimSelection>> {
@@ -385,27 +316,12 @@ impl QueryCache {
         }
     }
 
-    /// Selection-tier lookup.
-    pub fn get_selections(&self, fp: &QueryFingerprint) -> Option<Arc<PreparedQuery>> {
-        if !self.enabled {
-            return None;
-        }
-        self.selections.get(fp)
-    }
-
-    /// Selection-tier insert.
-    pub fn put_selections(&self, fp: &QueryFingerprint, value: Arc<PreparedQuery>) {
-        if self.enabled {
-            self.selections.put(fp, value);
-        }
-    }
-
     /// Composes a [`PreparedQuery`] for an already-built plan, serving
     /// every `Materialized` dimension from the dimension tier when a
     /// version-fresh σ entry exists (whoever built it) and materializing —
     /// and caching — the rest. Only the query-private fused stream is
     /// always built. This is the serving path's assemble-from-parts step
-    /// on a selection-tier miss; with the cache disabled it degrades to
+    /// on a result-tier miss; with the cache disabled it degrades to
     /// [`PreparedQuery::from_plan`] (every σ built, nothing cached).
     pub fn prepare_from_parts(
         &self,
@@ -438,15 +354,13 @@ impl QueryCache {
 
     /// Drops every entry in every tier (lifetime counters survive).
     pub fn clear(&self) {
-        self.plans.clear();
-        self.dims.clear();
-        self.selections.clear();
         self.results.clear();
+        self.dims.clear();
     }
 
     /// Drops only the dimension tier (the `CACHE CLEAR dims` sub-verb).
-    /// Composed prepared queries keep their handles alive — subsequent
-    /// assemblies simply rematerialize and refill.
+    /// Executing queries keep their handles alive — subsequent assemblies
+    /// simply rematerialize and refill.
     pub fn clear_dims(&self) {
         self.dims.clear();
     }
@@ -454,10 +368,8 @@ impl QueryCache {
     /// Counters, entry counts, and resident bytes of all tiers.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            plans: self.plans.snapshot(),
-            dims: self.dims.snapshot(),
-            selections: self.selections.snapshot(),
             results: self.results.snapshot(),
+            dims: self.dims.snapshot(),
         }
     }
 }
@@ -592,20 +504,28 @@ mod tests {
         let engine = QpptEngine::new(&ssb.db);
         let (result, stats) = engine.run_with_stats(&q, &opts).unwrap();
         cache.put_result(&fp, Arc::new(CachedResult { result, stats }));
-        cache.put_plan(&fp, Arc::new(engine.plan(&q, &opts).unwrap()));
         assert!(cache.get_result(&fp).is_some());
-        assert!(cache.get_plan(&fp).is_some());
         assert!(cache.stats().results.bytes > 0);
+        let plan = Arc::new(engine.plan(&q, &opts).unwrap());
+        let (_, cold) = cache
+            .prepare_from_parts(&ssb.db, plan, &opts, ssb.db.snapshot())
+            .unwrap();
+        assert!(cold.built > 0);
 
-        // A write to the fact table invalidates on next lookup.
+        // A write to the fact table invalidates the result on next lookup,
+        // while the σ entries (keyed on their own tables) keep hitting.
         ssb.db.delete_row("lineorder", 0).unwrap();
         let fp2 = QueryFingerprint::compute(&ssb.db, &q, &opts).unwrap();
         assert!(cache.get_result(&fp2).is_none());
+        let plan = Arc::new(build_plan(&ssb.db, &q, &opts).unwrap());
+        let (_, warm) = cache
+            .prepare_from_parts(&ssb.db, plan, &opts, ssb.db.snapshot())
+            .unwrap();
+        assert_eq!((warm.shared, warm.built), (cold.built, 0));
         let s = cache.stats();
         assert_eq!(s.results.invalidations, 1);
         assert_eq!(s.results.hits, 1);
-        // The plan tier was never probed with the new fingerprint.
-        assert_eq!(s.plans.invalidations, 0);
+        assert_eq!(s.dims.invalidations, 0);
     }
 
     #[test]

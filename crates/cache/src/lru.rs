@@ -189,7 +189,7 @@ impl<V: CacheValue> Shard<V> {
     /// still cannot be met because every remaining victim is pinned, a
     /// second pass drops the coldest entries from the map *regardless* of
     /// pins: their memory stays alive exactly as long as the real holders
-    /// (in-flight executions, cached composers) keep their `Arc`s — so
+    /// (in-flight executions) keep their `Arc`s — so
     /// nothing is ever freed out from under anyone — but the tier's
     /// tracked bytes stay bounded and the pinned cold segment cannot turn
     /// every future insert into an O(entries) rewalk.

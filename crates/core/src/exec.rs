@@ -165,12 +165,6 @@ pub struct FusedSelection {
 }
 
 impl FusedSelection {
-    /// Resident bytes of the sorted selection stream (cache byte
-    /// accounting: this is the *query-private* part of a prepared query).
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + (self.keys.capacity() + self.carried.capacity()) * 8
-    }
-
     /// The index range of keys within `[range.lo, range.hi]`.
     fn slice(&self, range: Option<KeyRange>) -> std::ops::Range<usize> {
         match range {
@@ -249,11 +243,9 @@ pub fn new_agg_table(plan: &Plan) -> AggTable {
 /// selection itself.
 ///
 /// `batch` selects between the scalar row-at-a-time inner loops and the
-/// columnar [`RowBatch`] paths. It is an **execution** parameter, not a
-/// plan property: batch knobs are excluded from the cache fingerprints, so
-/// a cached plan may carry stale `batch_*` options — callers derive the
-/// mode from the *request's* options. Both modes visit the same tuples in
-/// the same order and produce byte-identical aggregates.
+/// columnar [`RowBatch`] paths (callers pass `plan.opts.batch_mode()`).
+/// Both modes visit the same tuples in the same order and produce
+/// byte-identical aggregates.
 ///
 /// Returns the per-operator statistics of this partition, in operator order
 /// (fact selection first if present, then one entry per stage).
@@ -510,9 +502,7 @@ fn group_decode_sources<'a>(
 /// (table, column, dictionary) triple. Per-code decoding is pure, so the
 /// run size changes only how often dictionary state is re-established —
 /// never the emitted bytes. Like [`execute_agg`], this reads the batch
-/// knobs off `plan.opts`: decode sits outside the cached-plan reuse path
-/// that forces execution entry points to thread [`BatchMode`] explicitly,
-/// and byte-identity makes a stale knob harmless regardless.
+/// knobs off `plan.opts`.
 pub(crate) fn decode_groups(
     db: &Database,
     plan: &Plan,
@@ -657,9 +647,6 @@ pub fn execute_agg(
     }
 
     // 2–3. Fact selection + join stages into the aggregating index.
-    // Fresh plans carry the request's batch knobs, so deriving the batch
-    // mode from the plan is correct here (cached plans go through
-    // `PreparedQuery`, which threads the request's mode explicitly).
     let mut agg = new_agg_table(plan);
     let batch = plan.opts.batch_mode();
     for op in run_pipeline(db, snap, plan, &dim_tables, None, None, batch, &mut agg)? {

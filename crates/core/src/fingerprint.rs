@@ -167,7 +167,7 @@ pub fn fingerprint_spec(spec: &QuerySpec) -> u64 {
 /// entries are kept distinct per option set. `batch_exec`/`batch_rows`
 /// change neither bytes nor the plan — only how the inner loops walk it —
 /// so they are deliberately **excluded**: a batched execution shares cached
-/// plans, σ materializations, and results with scalar ones byte-for-byte.
+/// σ materializations and results with scalar ones byte-for-byte.
 pub fn fingerprint_opts(opts: &PlanOptions) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(opts.select_join as u64)
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn batch_knobs_never_touch_the_fingerprints() {
         // Byte-identity is the batch contract: a batched execution must
-        // share cached plans, σ, and results with a scalar one, so neither
+        // share cached σ and results with a scalar one, so neither
         // batch knob may perturb any fingerprint.
         let base = PlanOptions::default();
         let batched = [

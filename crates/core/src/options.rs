@@ -84,12 +84,6 @@ pub struct PlanOptions {
 
 /// The execution-time batch switch derived from [`PlanOptions`] via
 /// [`PlanOptions::batch_mode`].
-///
-/// Batch knobs are excluded from the cache fingerprints (byte-identity lets
-/// scalar and batched executions share cached plans, σ, and results), so a
-/// cached `Plan`'s embedded `opts` may carry a *stale* batch setting — the
-/// one the cold request used. Execution entry points therefore take the
-/// request's `BatchMode` explicitly instead of reading `plan.opts`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchMode {
     /// Whether the vectorized batch paths run.
@@ -166,9 +160,7 @@ impl PlanOptions {
         Ok(())
     }
 
-    /// The execution-time [`BatchMode`] these options request. See the
-    /// `BatchMode` docs for why executions thread this explicitly instead
-    /// of reading a (possibly cached, possibly stale) `plan.opts`.
+    /// The execution-time [`BatchMode`] these options request.
     pub fn batch_mode(&self) -> BatchMode {
         BatchMode {
             enabled: self.batch_exec,

@@ -197,33 +197,6 @@ pub struct FactSelect {
 }
 
 impl Plan {
-    /// Rough resident-size estimate in bytes, for cache accounting. Plans
-    /// are KiB-scale resolved metadata; the estimate sums the owned
-    /// strings and per-dim/stage vectors — exactness is not the point,
-    /// only that a plan weighs ~nothing next to a materialized selection.
-    pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let str_bytes = |s: &String| size_of::<String>() + s.len();
-        let mut b = size_of::<Self>();
-        for d in &self.dims {
-            b += size_of::<ResolvedDim>()
-                + d.table.len()
-                + d.join_col_name.len()
-                + d.fact_col_name.len();
-            b += d.carried_names.iter().map(&str_bytes).sum::<usize>();
-            b += d.pred_cols.iter().map(&str_bytes).sum::<usize>();
-            b += d.preds.len() * size_of::<CompiledPred>();
-        }
-        for s in &self.stages {
-            b += size_of::<JoinStage>()
-                + (s.assisting.len() + s.output_projection.len()) * size_of::<usize>()
-                + (s.residuals.len() + s.ways) * size_of::<CompiledPred>();
-        }
-        b += self.aggs.len() * size_of::<ResolvedAgg>();
-        b += (self.group_key.positions.len() + self.group_key.sources.len()) * 16;
-        b
-    }
-
     /// Human-readable plan rendering (the demonstrator's plan view).
     pub fn explain(&self) -> String {
         use std::fmt::Write as _;

@@ -1,16 +1,16 @@
-//! [`PreparedQuery`]: a query's reusable execution state — built plan,
+//! [`PreparedQuery`]: a query's execution state — built plan,
 //! materialized dimension selections, and the fused stage-1 selection
-//! stream — computed once and shared (via `Arc`) across repeated
-//! executions and concurrent connections.
+//! stream — computed before execution and shared (via `Arc`) by every
+//! morsel worker that executes it.
 //!
 //! QPPT intermediates are ordered, canonical index structures: at an
 //! unchanged snapshot, re-running the same query rebuilds byte-identical
 //! dimension selections and plans from scratch. A `PreparedQuery` captures
-//! exactly that recomputable state — and since PR 4 it is a *cheap
-//! composition*: each dimension selection is an independently cacheable
-//! [`DimSelection`] handle (shared across every query with the same σ
-//! through the `qppt-cache` dimension tier), and only the fused stage-1
-//! stream is query-private. Coherence is the caller's contract (enforced
+//! exactly that recomputable state as a *cheap composition*: each
+//! dimension selection is an independently cacheable [`DimSelection`]
+//! handle (shared across every query with the same σ through the
+//! `qppt-cache` dimension tier), and only the plan and the fused stage-1
+//! stream are query-private. Coherence is the caller's contract (enforced
 //! by `qppt-cache` via per-table versions): a prepared query may only be
 //! executed while the versions of every table it reads are unchanged since
 //! its parts were materialized — then `snap` sees the same rows as any
@@ -64,8 +64,7 @@ impl PreparedQuery {
     }
 
     /// Materializes the dimension state for an already-built plan at
-    /// `snap` — the entry point when a plan-cache tier hit skipped
-    /// [`build_plan`].
+    /// `snap`, building every σ (no dimension tier consulted).
     pub fn from_plan(db: &Database, plan: Arc<Plan>, snap: Snapshot) -> Result<Self, QpptError> {
         let dims = (0..plan.dims.len())
             .map(|di| materialize_dim_selection(db, snap, &plan, di))
@@ -102,32 +101,14 @@ impl PreparedQuery {
         self.dims.iter().flatten().map(|d| d.op.clone()).collect()
     }
 
-    /// Heap bytes of the *query-private* state (plan + fused stream). The
-    /// dimension tables are excluded: they are shared handles — callers
-    /// that need the full retained footprint (the cache's selection-tier
-    /// accounting) add the σ tables' `memory_bytes` on top.
-    pub fn private_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.plan.memory_bytes()
-            + self.fused.as_ref().as_ref().map_or(0, |f| f.memory_bytes())
-            + self.dims.len() * std::mem::size_of::<Option<Arc<DimSelection>>>()
-    }
-
     /// Runs the fact pipeline sequentially on the calling thread from the
     /// prepared state — no planning, no dimension materialization, no
     /// selection-predicate evaluation (the fused stream replays). Results
     /// are byte-identical to [`QpptEngine::run`](crate::QpptEngine::run)
     /// under the coherence contract (module docs).
-    ///
-    /// The batch mode is derived from the plan's own options — correct
-    /// when the prepared query was built for this request. Serving paths
-    /// that reuse *cached* prepared queries (whose plan may carry stale
-    /// batch knobs, since batch knobs are excluded from the fingerprints)
-    /// call [`execute_sequential_agg`](Self::execute_sequential_agg) with
-    /// the request's mode instead.
     pub fn execute_sequential(&self, db: &Database) -> Result<(QueryResult, ExecStats), QpptError> {
         let started = Instant::now();
-        let (agg, mut stats) = self.execute_sequential_agg(db, self.plan.opts.batch_mode())?;
+        let (agg, mut stats) = self.execute_sequential_agg(db)?;
         let result = decode_result(db, &self.plan, &agg);
         stats.total_micros = started.elapsed().as_micros();
         Ok((result, stats))
@@ -136,13 +117,9 @@ impl PreparedQuery {
     /// Like [`execute_sequential`](Self::execute_sequential), but stops at
     /// the merged aggregation index — the shard-side entry point for
     /// partial-aggregate serving, where decode happens at the router.
-    /// `batch` is the *request's* execution mode (see
-    /// [`run_pipeline`]'s contract on cached plans); scalar and batched
-    /// runs produce byte-identical aggregates.
     pub fn execute_sequential_agg(
         &self,
         db: &Database,
-        batch: crate::options::BatchMode,
     ) -> Result<(crate::inter::AggTable, ExecStats), QpptError> {
         let started = Instant::now();
         let mut stats = ExecStats {
@@ -157,7 +134,7 @@ impl PreparedQuery {
             &self.dims,
             None,
             self.fused.as_ref().as_ref(),
-            batch,
+            self.plan.opts.batch_mode(),
             &mut agg,
         )?;
         for op in ops {

@@ -6,9 +6,9 @@
 //! selections, fused stage-1 stream), then execute it with
 //! [`run_prepared`](PooledEngine::run_prepared). The `run*` entry points
 //! are thin wrappers that build the prepared state fresh; the serving
-//! path reuses cached prepared state (the `qppt-cache` selection tier), so
-//! planning, dimension materialization and the fused-selection scan are
-//! skipped and the prepared `InterTable`s are shared read-only across
+//! path composes it from σ handles shared through the `qppt-cache`
+//! dimension tier, so dimension materialization is skipped for every
+//! cached σ, and the prepared `InterTable`s are shared read-only across
 //! every morsel worker of every execution.
 //!
 //! Execution submits the query's morsel queue as a [`PoolJob`]; the
@@ -43,7 +43,7 @@ use std::time::Instant;
 use qppt_core::exec::{decode_result, new_agg_table, run_pipeline, DimSelection, FusedSelection};
 use qppt_core::inter::AggTable;
 use qppt_core::plan::MainInput;
-use qppt_core::{BatchMode, ExecStats, KeyRange, Plan, PlanOptions, PreparedQuery, QpptError};
+use qppt_core::{ExecStats, KeyRange, Plan, PlanOptions, PreparedQuery, QpptError};
 use qppt_storage::{Database, QueryResult, QuerySpec, Snapshot};
 
 use crate::morsel::Partitioner;
@@ -122,8 +122,7 @@ impl PooledEngine {
         priority: i32,
     ) -> Result<(QueryResult, ExecStats), QpptError> {
         let started = Instant::now();
-        let batch = prepared.plan.opts.batch_mode();
-        let (agg, mut stats) = self.run_prepared_agg(prepared, priority, batch)?;
+        let (agg, mut stats) = self.run_prepared_agg(prepared, priority)?;
         let result = decode_result(&self.db, &prepared.plan, &agg);
         stats.total_micros = started.elapsed().as_micros();
         Ok((result, stats))
@@ -132,15 +131,10 @@ impl PooledEngine {
     /// Like [`run_prepared`](Self::run_prepared), but stops at the merged
     /// aggregation index — the shard-side entry point for partial-aggregate
     /// serving, where the router decodes after the cross-shard merge.
-    /// `batch` is the *request's* execution mode: batch knobs are excluded
-    /// from the cache fingerprints, so a cached prepared query's plan may
-    /// carry stale knobs — scalar and batched requests share the same entry
-    /// and produce byte-identical aggregates.
     pub fn run_prepared_agg(
         &self,
         prepared: &PreparedQuery,
         priority: i32,
-        batch: BatchMode,
     ) -> Result<(AggTable, ExecStats), QpptError> {
         let plan = &prepared.plan;
         // The calling thread participates in its own job, so the bound is
@@ -150,7 +144,7 @@ impl PooledEngine {
             // Inline fast path: no jobs, no handles, no pool wakeups. This
             // is byte-identical by construction (it *is* the sequential
             // engine's pipeline).
-            return prepared.execute_sequential_agg(&self.db, batch);
+            return prepared.execute_sequential_agg(&self.db);
         }
 
         let started = Instant::now();
@@ -168,7 +162,6 @@ impl PooledEngine {
             partials: Mutex::new(Vec::new()),
             error: Mutex::new(None),
             aborted: AtomicBool::new(false),
-            batch,
         });
         self.pool
             .run_participating(job.clone() as Arc<dyn PoolJob>, priority)
@@ -270,8 +263,6 @@ struct MorselJob {
     error: Mutex<Option<QpptError>>,
     aborted: AtomicBool,
     max_workers: usize,
-    /// The request's execution mode (scalar vs. columnar inner loops).
-    batch: BatchMode,
 }
 
 impl MorselJob {
@@ -294,7 +285,7 @@ impl MorselJob {
                 &self.dim_tables,
                 Some(morsel),
                 self.fused.as_ref().as_ref(),
-                self.batch,
+                self.plan.opts.batch_mode(),
                 acc,
             )?;
             stats.merge_partition(&ExecStats {

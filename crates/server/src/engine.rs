@@ -20,23 +20,20 @@
 //! Q3.1's predicate set hits the dimension tier Q3.1 warmed, and a
 //! re-submitted ad-hoc text hits the result tier whatever its `id=` says.
 //!
-//! The hot path consults the snapshot-keyed
-//! [`QueryCache`](qppt_cache::QueryCache) tiers in order:
+//! The hot path consults the two snapshot-keyed
+//! [`QueryCache`](qppt_cache::QueryCache) tiers:
 //!
 //! 1. **result hit** — return the cached rows without touching the pool;
-//! 2. **selection hit** — execute from the cached
-//!    [`PreparedQuery`](qppt_core::PreparedQuery) (skips `build_plan` and
-//!    every `materialize_dim`);
-//! 3. **plan hit / cold** — build or fetch the plan, then **assemble from
-//!    parts**: every `Materialized` dimension σ is looked up in the
-//!    *dimension tier* (keyed per `(table, predicates, carried columns,
-//!    table version)`, so a σ materialized by a *different* query hits —
-//!    Q3.2 reuses the date selection Q3.1 built); only the missing σ and
-//!    the query-private fused stream are materialized, and all four tiers
-//!    are (re)populated.
+//! 2. **cold** (result miss) — [`prepare`](ServeEngine::prepare) plans the
+//!    query, then **assembles σ from parts**: every `Materialized`
+//!    dimension σ is looked up in the *dimension tier* (keyed per `(table,
+//!    predicates, carried columns, table version)`, so a σ materialized by
+//!    a *different* query hits — Q3.2 reuses the date selection Q3.1
+//!    built); only the missing σ and the query-private fused stream are
+//!    materialized. The execution then fills the result tier.
 //!
-//! `cache=off` requests bypass **all** tiers, the dimension tier
-//! included: no lookups, no insertions, fully independent execution.
+//! `cache=off` requests run the same `prepare` but bypass **both** tiers:
+//! every σ is built fresh, with no lookups and no insertions.
 //!
 //! Coherence: fingerprints embed per-table versions
 //! ([`Database::table_version`]), and the database sits behind an `Arc`
@@ -422,8 +419,8 @@ impl ServeEngine {
             return Ok((hit.result.clone(), stats));
         }
 
-        let parts = self.prepare(fp.as_ref(), spec, opts)?;
-        let (agg, mut stats, exec_micros) = self.execute(&parts.prepared, opts, priority)?;
+        let parts = self.prepare(fp.is_some(), spec, opts)?;
+        let (agg, mut stats, exec_micros) = self.execute(&parts.prepared, priority)?;
         let decode_started = Instant::now();
         let result = qppt_core::exec::decode_result(db, &parts.prepared.plan, &agg);
         parts.trace(trace, exec_micros, decode_started);
@@ -445,12 +442,11 @@ impl ServeEngine {
     /// for `qppt-router`): same validate → plan → cache → execute path as
     /// [`run_spec`](Self::run_spec), but execution stops at the merged
     /// aggregation index, serialized as a [`PartialAggregate`] for the
-    /// router to merge and decode. The plan, dimension, and selection
-    /// tiers all participate exactly as in full mode — a shard-local σ
-    /// family warmed by one routed query is shared with the next — only
-    /// the *result* tier is skipped (it stores decoded, ordered results;
-    /// partials are merged upstream, so caching them here would never be
-    /// consulted by full-mode runs).
+    /// router to merge and decode. The dimension tier participates exactly
+    /// as in full mode — a shard-local σ family warmed by one routed query
+    /// is shared with the next — only the *result* tier is skipped (it
+    /// stores decoded, ordered results; partials are merged upstream, so
+    /// caching them here would never be consulted by full-mode runs).
     pub fn run_spec_partial(
         &self,
         spec: &QuerySpec,
@@ -476,8 +472,8 @@ impl ServeEngine {
         let db = self.engine.db();
         let started = Instant::now();
         let fp = self.fingerprint(spec, opts, use_cache)?;
-        let parts = self.prepare(fp.as_ref(), spec, opts)?;
-        let (agg, mut stats, exec_micros) = self.execute(&parts.prepared, opts, priority)?;
+        let parts = self.prepare(fp.is_some(), spec, opts)?;
+        let (agg, mut stats, exec_micros) = self.execute(&parts.prepared, priority)?;
         let decode_started = Instant::now();
         let partial = PartialAggregate::from_agg(db, &parts.prepared.plan, &agg);
         parts.trace(trace, exec_micros, decode_started);
@@ -509,112 +505,56 @@ impl ServeEngine {
         }
     }
 
-    /// Fetches or builds the [`PreparedQuery`]: through the cache tiers
-    /// when the request has a fingerprint, from scratch with no tier
-    /// touched otherwise (the bypass: validate → plan → materialize σ).
+    /// Builds the request's [`PreparedQuery`]: `build_plan` (which runs
+    /// the catalog validation — an unknown column beats a missing index on
+    /// that column), then the index-availability check, both before any
+    /// materialization or execution. σ then comes from one of two sources:
+    /// composed through the dimension tier when the request is `cached`,
+    /// or built fresh with no tier touched (`cache=off`).
     fn prepare(
         &self,
-        fp: Option<&QueryFingerprint>,
+        cached: bool,
         spec: &QuerySpec,
         opts: &PlanOptions,
     ) -> Result<PreparedParts, ServeError> {
-        if let Some(fp) = fp {
-            return self.assemble_prepared(fp, spec, opts);
-        }
         let db = self.engine.db();
         let plan_started = Instant::now();
-        qppt_core::validate(db, spec, opts).map_err(ServeError::Engine)?;
         let plan = Arc::new(qppt_core::build_plan(db, spec, opts).map_err(ServeError::Engine)?);
+        qppt_core::validate_indexes(db, spec, opts).map_err(ServeError::Engine)?;
         let plan_micros = elapsed_micros(plan_started);
         let sigma_started = Instant::now();
-        let prepared =
-            PreparedQuery::from_plan(db, plan, db.snapshot()).map_err(ServeError::Engine)?;
+        let snap = db.snapshot();
+        let (prepared, assembly) = if cached {
+            let (prepared, assembly) = self
+                .cache
+                .prepare_from_parts(db, plan, opts, snap)
+                .map_err(ServeError::Engine)?;
+            (prepared, Some(assembly))
+        } else {
+            let prepared = PreparedQuery::from_plan(db, plan, snap).map_err(ServeError::Engine)?;
+            (prepared, None)
+        };
         Ok(PreparedParts {
-            prepared: Arc::new(prepared),
-            tier: None,
-            assembly: None,
+            prepared,
+            assembly,
             plan_micros,
             sigma_micros: elapsed_micros(sigma_started),
         })
     }
 
     /// Runs the prepared query on the pool up to the merged aggregation
-    /// index (the exec span; decode is the caller's). The batch mode comes
-    /// from the *request's* options: a cached plan may carry stale batch
-    /// knobs (they are fingerprint-exempt).
+    /// index (the exec span; decode is the caller's).
     fn execute(
         &self,
         prepared: &PreparedQuery,
-        opts: &PlanOptions,
         priority: i32,
     ) -> Result<(AggTable, ExecStats, u64), ServeError> {
         let exec_started = Instant::now();
         let (agg, stats) = self
             .engine
-            .run_prepared_agg(prepared, priority, opts.batch_mode())
+            .run_prepared_agg(prepared, priority)
             .map_err(ServeError::Engine)?;
         Ok((agg, stats, elapsed_micros(exec_started)))
-    }
-
-    /// Tiers 1–2 of the cached pipeline, shared by full and partial mode:
-    /// fetch or compose the [`PreparedQuery`] through the selection, plan,
-    /// and dimension tiers.
-    fn assemble_prepared(
-        &self,
-        fp: &QueryFingerprint,
-        spec: &QuerySpec,
-        opts: &PlanOptions,
-    ) -> Result<PreparedParts, ServeError> {
-        let db = self.engine.db();
-        let plan_started = Instant::now();
-        // Tier 2: the composed PreparedQuery (a hit skips build_plan, the
-        // per-dimension cache walk, and the fused-selection scan — the
-        // PreparedQuery already owns its plan and σ handles, so the plan
-        // and dimension tiers are only consulted on a selection miss).
-        if let Some(prepared) = self.cache.get_selections(fp) {
-            return Ok(PreparedParts {
-                prepared,
-                tier: Some("cache: selection hit"),
-                assembly: None,
-                plan_micros: elapsed_micros(plan_started),
-                sigma_micros: 0,
-            });
-        }
-        // Tier 1: plan (skips build_plan on hit — and with it the whole
-        // validate pass: a cached plan at this fingerprint proves the spec
-        // and its indexes validated at these very table versions).
-        let (plan, tier) = match self.cache.get_plan(fp) {
-            Some(p) => (p, "cache: plan hit"),
-            None => {
-                // Cold: build_plan runs the catalog validation itself
-                // (typed errors first — an unknown column beats a missing
-                // index on that column); the index-availability check
-                // layers on top before any materialization, execution, or
-                // caching.
-                let p =
-                    Arc::new(qppt_core::build_plan(db, spec, opts).map_err(ServeError::Engine)?);
-                qppt_core::validate_indexes(db, spec, opts).map_err(ServeError::Engine)?;
-                self.cache.put_plan(fp, p.clone());
-                (p, "cache: cold")
-            }
-        };
-        let plan_micros = elapsed_micros(plan_started);
-        // Assemble from parts: shared σ handles out of the dimension tier,
-        // missing ones materialized + cached.
-        let sigma_started = Instant::now();
-        let (prepared, assembly) = self
-            .cache
-            .prepare_from_parts(db, plan, opts, db.snapshot())
-            .map_err(ServeError::Engine)?;
-        let prepared = Arc::new(prepared);
-        self.cache.put_selections(fp, prepared.clone());
-        Ok(PreparedParts {
-            prepared,
-            tier: Some(tier),
-            assembly: Some(assembly),
-            plan_micros,
-            sigma_micros: elapsed_micros(sigma_started),
-        })
     }
 
     /// Renders the physical plan of a named query under the default
@@ -638,15 +578,13 @@ impl ServeEngine {
     }
 }
 
-/// The product of [`ServeEngine::prepare`]: the prepared query, the tier
-/// that produced it (`None` on the bypass), (on the assemble-from-parts
-/// path) the dimension-tier share/build counts, and the wall micros of the
-/// two assembly phases (plan fetch/build, σ materialization), measured
+/// The product of [`ServeEngine::prepare`]: the prepared query, the
+/// dimension-tier share/build counts (`None` on the bypass), and the wall
+/// micros of the two assembly phases (plan build, σ assembly), measured
 /// unconditionally — two `Instant` reads — and surfaced as spans when the
 /// request is traced.
 struct PreparedParts {
-    prepared: Arc<PreparedQuery>,
-    tier: Option<&'static str>,
+    prepared: PreparedQuery,
     assembly: Option<qppt_cache::DimAssembly>,
     plan_micros: u64,
     sigma_micros: u64,
@@ -664,24 +602,13 @@ impl PreparedParts {
         }
     }
 
-    /// Appends the tier and dimension-assembly `# op` records — nothing on
-    /// the bypass, which touches no tier.
+    /// Appends the `cache: cold` and dimension-assembly `# op` records —
+    /// nothing on the bypass, which touches no tier.
     fn push_cache_ops(&self, stats: &mut ExecStats, rows: usize) {
-        if let Some(tier) = self.tier {
-            stats.push(cache_op(tier, rows));
-            push_assembly_op(stats, self.assembly);
-        }
-    }
-}
-
-/// Saturating `u64` micros since `started`.
-fn elapsed_micros(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Appends the dimension-assembly `# op` record, when σ work happened.
-fn push_assembly_op(stats: &mut ExecStats, assembly: Option<qppt_cache::DimAssembly>) {
-    if let Some(a) = assembly {
+        let Some(a) = self.assembly else {
+            return;
+        };
+        stats.push(cache_op("cache: cold", rows));
         if a.shared + a.built > 0 {
             // keys = σ served from the dim tier, tuples = σ built now.
             let mut op = cache_op(
@@ -692,6 +619,11 @@ fn push_assembly_op(stats: &mut ExecStats, assembly: Option<qppt_cache::DimAssem
             stats.push(op);
         }
     }
+}
+
+/// Saturating `u64` micros since `started`.
+fn elapsed_micros(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// A synthetic operator record surfacing a cache event through
@@ -708,7 +640,7 @@ fn cache_op(label: &str, rows: usize) -> OpStats {
 }
 
 /// Renders [`CacheStats`] as the one-line `key=value` body of a
-/// `CACHE STATS` response: per tier (result / dim / selection / plan) the
+/// `CACHE STATS` response: per tier (result / dim) the
 /// hit/miss/invalidation/eviction/expiration counters plus live entries
 /// and resident bytes.
 pub fn render_cache_stats(s: &CacheStats) -> String {
@@ -719,13 +651,7 @@ pub fn render_cache_stats(s: &CacheStats) -> String {
             t.hits, t.misses, t.invalidations, t.evictions, t.expirations, t.entries, t.bytes
         )
     };
-    format!(
-        "{} {} {} {}",
-        tier("result", &s.results),
-        tier("dim", &s.dims),
-        tier("selection", &s.selections),
-        tier("plan", &s.plans)
-    )
+    format!("{} {}", tier("result", &s.results), tier("dim", &s.dims))
 }
 
 /// Detected hardware parallelism (1 when the probe fails).

@@ -54,12 +54,12 @@
 //! selects the inline form.
 //!
 //! `CACHE STATS` answers one `OK` line of `key=value` counters (per tier —
-//! result / dim / selection / plan —
+//! result / dim —
 //! hits/misses/invalidations/evictions/expirations/entries/bytes);
 //! `CACHE CLEAR` drops every cached entry, `CACHE CLEAR dims` only the
-//! shared dimension-selection tier. `cache=off` on a `RUN` bypasses every
-//! cache tier — the dimension tier included — for that request only (no
-//! lookups, no insertions).
+//! shared dimension-selection tier. `cache=off` on a `RUN` bypasses both
+//! tiers for that request only (no lookups, no insertions): every σ is
+//! built fresh.
 //!
 //! ## RUN response
 //!

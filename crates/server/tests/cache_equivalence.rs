@@ -10,8 +10,10 @@
 //!   over written tables recompute (stale results are never served),
 //!   queries over untouched tables keep hitting, and of an invalidated
 //!   query's dimensions only the *written* table's σ is rebuilt;
-//! * `cache=off` bypasses every tier including the dimension tier, and
-//!   `CACHE CLEAR dims` drops exactly that tier;
+//! * a repeated partial-mode run (no result tier) is a cold run whose
+//!   every σ comes from the dimension tier, byte-identical to the first;
+//! * `cache=off` bypasses both tiers, and `CACHE CLEAR dims` drops exactly
+//!   the dimension tier;
 //! * 10 concurrent TCP connections sharing one cache still match the
 //!   sequential engine, with exact counters, and byte-pressure eviction
 //!   churn never corrupts results.
@@ -19,8 +21,9 @@
 use std::sync::Arc;
 
 use qppt_cache::{CacheConfig, QueryCache};
-use qppt_core::{ExecStats, PlanOptions, QpptEngine};
+use qppt_core::{ExecStats, PartialAggregate, PlanOptions, QpptEngine};
 use qppt_par::WorkerPool;
+use qppt_server::protocol::write_partial_response;
 use qppt_server::{serve, QpptClient, ServeEngine};
 use qppt_ssb::{queries, SsbDb};
 use qppt_storage::{Database, Value};
@@ -31,6 +34,14 @@ fn dim_assembly_op(stats: &ExecStats) -> Option<&qppt_core::OpStats> {
         .ops
         .iter()
         .find(|op| op.label.starts_with("cache: dims"))
+}
+
+/// The wire bytes of a `PARTIAL` response carrying `partial` (statistics
+/// left empty, so timings never enter the comparison).
+fn partial_bytes(partial: &PartialAggregate) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_partial_response(&mut out, partial, &ExecStats::default(), 1, &[]).unwrap();
+    out
 }
 
 fn ssb_db(sf: f64) -> Arc<Database> {
@@ -142,6 +153,25 @@ fn shared_sigma_family_skips_materialization() {
     assert_eq!(s.dims.misses, 4, "supplier ×3 + date ×1");
     assert_eq!(s.dims.entries, 4);
 
+    // Partial mode skips the result tier, so a repeat at the same snapshot
+    // runs cold again — with every σ served from the dimension tier — and
+    // answers the same bytes as the first run.
+    let q34 = queries::q3_4();
+    let (p1, _) = engine.run_spec_partial(&q34, &opts, 0, true).unwrap();
+    let (p2, ps2) = engine.run_spec_partial(&q34, &opts, 0, true).unwrap();
+    assert_eq!(partial_bytes(&p1), partial_bytes(&p2), "repeat partial run");
+    assert!(
+        ps2.ops.iter().any(|op| op.label == "cache: cold"),
+        "a partial repeat reports cache: cold"
+    );
+    let a34 = dim_assembly_op(&ps2).expect("q3.4 assembles dims");
+    assert!(a34.out_keys > 0);
+    assert_eq!(
+        a34.label,
+        format!("cache: dims {} shared / 0 built", a34.out_keys),
+        "every σ of the repeat comes from the dim tier"
+    );
+
     // CACHE CLEAR dims drops exactly that tier: the next assembly
     // rebuilds σ, while untouched result entries keep serving.
     engine.cache_clear_dims();
@@ -177,12 +207,7 @@ fn cache_off_bypasses_every_tier_including_dims() {
         );
     }
     let s = engine.cache_stats();
-    for (tier, t) in [
-        ("results", s.results),
-        ("dims", s.dims),
-        ("selections", s.selections),
-        ("plans", s.plans),
-    ] {
+    for (tier, t) in [("results", s.results), ("dims", s.dims)] {
         assert_eq!(
             (t.hits, t.misses, t.insertions, t.entries),
             (0, 0, 0, 0),
@@ -420,19 +445,14 @@ fn ten_concurrent_connections_sharing_the_cache_match_sequential() {
     });
 
     // Counter exactness under concurrency: every cache=on run does exactly
-    // one result-tier lookup, every result miss exactly one selection-tier
-    // lookup, and every dim-tier miss exactly one insertion — races may
-    // shift the hit/miss split, never the totals.
+    // one result-tier lookup, and every dim-tier miss exactly one
+    // insertion — races may shift the hit/miss split, never the totals.
     let on_runs: u64 = (0..10usize)
         .flat_map(|c| (0..2usize).flat_map(move |round| (0..13usize).map(move |qi| (c, round, qi))))
         .filter(|(c, round, qi)| (c + qi + round) % 5 != 0)
         .count() as u64;
     let stats = engine.cache_stats();
     assert_eq!(stats.results.hits + stats.results.misses, on_runs);
-    assert_eq!(
-        stats.selections.hits + stats.selections.misses,
-        stats.results.misses
-    );
     assert_eq!(stats.dims.misses, stats.dims.insertions);
     assert!(
         stats.results.hits > 0,
@@ -442,7 +462,8 @@ fn ten_concurrent_connections_sharing_the_cache_match_sequential() {
     assert!(stats.dims.hits > 0, "σ sharing must kick in across clients");
     assert!(stats.dims.bytes > 0 && stats.results.bytes > 0);
 
-    // The wire-level CACHE STATS report carries the dim tier and bytes.
+    // The wire-level CACHE STATS report carries the dim tier and bytes,
+    // and only the result and dim tiers.
     let mut client = QpptClient::connect(addr).expect("connect");
     let kv = client.cache_stats().expect("CACHE STATS");
     for key in ["dim_hits", "dim_bytes", "result_bytes", "dim_expirations"] {
@@ -451,6 +472,11 @@ fn ten_concurrent_connections_sharing_the_cache_match_sequential() {
             "CACHE STATS missing {key}: {kv:?}"
         );
     }
+    assert!(
+        kv.iter()
+            .all(|(k, _)| k.starts_with("result_") || k.starts_with("dim_")),
+        "CACHE STATS reports a tier other than result/dim: {kv:?}"
+    );
     let wire_dim_hits: u64 = kv
         .iter()
         .find(|(k, _)| k == "dim_hits")
@@ -473,16 +499,14 @@ fn ten_concurrent_connections_sharing_the_cache_match_sequential() {
 
 #[test]
 fn eviction_churn_under_tiny_budgets_stays_correct() {
-    // Pathologically small byte budgets: every tier is under constant
-    // eviction pressure, entries pinned by the composed prepared query (or
-    // by in-flight executions) are skipped rather than ripped out, and
-    // every answer stays byte-identical to the sequential oracle.
+    // Pathologically small byte budgets: both tiers are under constant
+    // eviction pressure, entries pinned by in-flight executions are
+    // skipped rather than ripped out, and every answer stays
+    // byte-identical to the sequential oracle.
     let db = ssb_db(0.01);
     let pool = WorkerPool::new(2, 8);
     let cache = Arc::new(QueryCache::new(CacheConfig {
-        plan_budget: 1,
         dim_budget: 4 << 10,
-        selection_budget: 1,
         result_budget: 1,
         shards: 1,
         ..CacheConfig::default()
@@ -510,8 +534,7 @@ fn eviction_churn_under_tiny_budgets_stays_correct() {
         }
     }
     let s = engine.cache_stats();
-    let evictions =
-        s.results.evictions + s.dims.evictions + s.selections.evictions + s.plans.evictions;
+    let evictions = s.results.evictions + s.dims.evictions;
     assert!(evictions > 0, "tiny budgets must evict: {s:?}");
     // A 1-byte result budget keeps at most one (over-budget) entry
     // resident: the put-path reclaim evicted everything unpinned first.

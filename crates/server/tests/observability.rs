@@ -100,12 +100,7 @@ fn metrics_exposition_counts_requests_and_matches_cache_stats() {
     let stats = client.cache_stats().expect("CACHE STATS answers");
     let text = client.metrics().expect("second scrape");
     let expo = parse_exposition(&text).expect("second scrape parses");
-    for (tier, prefix) in [
-        ("result", "result"),
-        ("dim", "dim"),
-        ("selection", "selection"),
-        ("plan", "plan"),
-    ] {
+    for tier in ["result", "dim"] {
         for (family, field) in [
             ("qppt_cache_hits_total", "hits"),
             ("qppt_cache_misses_total", "misses"),
@@ -117,11 +112,18 @@ fn metrics_exposition_counts_requests_and_matches_cache_stats() {
         ] {
             assert_eq!(
                 expo.value(family, &[("tier", tier)]),
-                Some(tier_field(&stats, &format!("{prefix}_{field}"))),
-                "{family}{{tier={tier}}} must equal CACHE STATS {prefix}_{field}"
+                Some(tier_field(&stats, &format!("{tier}_{field}"))),
+                "{family}{{tier={tier}}} must equal CACHE STATS {tier}_{field}"
             );
         }
     }
+    // The engine cache has exactly the result and dim tiers.
+    let tiers: std::collections::BTreeSet<&str> = expo
+        .samples
+        .iter()
+        .filter_map(|s| s.label("tier"))
+        .collect();
+    assert_eq!(tiers, ["dim", "result"].into(), "METRICS tier labels");
     // The sequence above demonstrably exercised the tiers.
     assert_eq!(
         expo.value("qppt_cache_hits_total", &[("tier", "result")]),

@@ -30,7 +30,7 @@
 //!   on a persistent shared [`par::WorkerPool`] serving many concurrent
 //!   queries, with byte-identical results.
 //! * [`cache`] — the snapshot-keyed query cache: bounded sharded LRU
-//!   tiers for plans, materialized dimension selections, and full results,
+//!   tiers for materialized dimension selections and full results,
 //!   invalidated exactly by per-table versions
 //!   ([`cache::QueryCache`], [`cache::QueryFingerprint`]).
 //! * [`query`] — the textual query language: a line-oriented grammar over
