@@ -415,6 +415,7 @@ pub fn run_pipeline(
             width,
             cap: plan.opts.join_buffer,
             batch,
+            scratch: FlushScratch::default(),
         };
         match stage.main {
             MainInput::SyncScan { main } => {
@@ -904,6 +905,29 @@ struct StageRun<'a, 'p, 'g> {
     width: usize,
     cap: usize,
     batch: BatchMode,
+    scratch: FlushScratch,
+}
+
+/// Per-flush working storage of a [`StageRun`], reused across flushes so
+/// the join buffer stays allocation-free on the hot path.
+#[derive(Default)]
+struct FlushScratch {
+    /// Selection vector: buffer rows every assist probed so far matched.
+    live: Vec<usize>,
+    /// Probe keys of the live rows, one batched lookup per assist.
+    keys: Vec<u64>,
+    /// Per live row: whether the current assist found a visible version.
+    found: Vec<bool>,
+    /// Carried values of one fetched dimension tuple.
+    fetched: Vec<u64>,
+    /// Projected output row for an intermediate-index sink.
+    out_row: Vec<u64>,
+    /// Aggregate deltas of one row (or one run of equal group keys).
+    deltas: Vec<i64>,
+    /// Batched aggregation: packed group keys of the survivors.
+    packed: Vec<u64>,
+    /// Batched aggregation: survivor-major aggregate deltas.
+    block: Vec<i64>,
 }
 
 impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
@@ -926,43 +950,73 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
         }
     }
 
-    /// Probes every assisting index (batched, §2.3) and emits survivors.
+    /// Probes the assisting indexes (batched, §2.3) and emits survivors.
+    ///
+    /// The assists are probed in plan order, each with one batched lookup
+    /// over only the rows every earlier probe matched: `live` is the
+    /// selection vector of surviving buffer rows, and it is compacted after
+    /// each probe, so later assists skip the rows an earlier one rejected
+    /// and both sinks walk only the final survivors. A row's fill values
+    /// come from the first visible version of its key. Survivors keep
+    /// their buffer order, so the output is the same as probing every row
+    /// with every assist. Scalar and batched modes share this flush.
     fn flush(&mut self) {
         if self.rows == 0 {
             return;
         }
         let width = self.width;
-        let n = self.rows;
         let snap = self.snap;
-        let mut matched: Vec<bool> = vec![true; n];
-        let mut keys: Vec<u64> = Vec::with_capacity(n);
-        let mut scratch: Vec<u64> = Vec::new();
+        let FlushScratch {
+            live,
+            keys,
+            found,
+            fetched,
+            out_row,
+            deltas,
+            packed,
+            block,
+        } = &mut self.scratch;
+        live.clear();
+        live.extend(0..self.rows);
         for assist in &self.assists {
-            keys.clear();
-            for r in 0..n {
-                keys.push(self.buffer[r * width + assist.probe_pos]);
+            if live.is_empty() {
+                break;
             }
-            let mut found: Vec<bool> = vec![false; n];
-            // Disjoint field borrows: the probe writes carried values
-            // straight into the flat buffer rows.
+            keys.clear();
+            keys.extend(
+                live.iter()
+                    .map(|&r| self.buffer[r * width + assist.probe_pos]),
+            );
+            found.clear();
+            found.resize(live.len(), false);
+            // The probe writes carried values straight into the flat
+            // buffer rows of the live jobs.
             let buffer = &mut self.buffer;
-            assist.access.index().batch_get_each(&keys, |job, pid| {
-                if found[job] || !matched[job] {
+            assist.access.index().batch_get_each(keys, |job, pid| {
+                if found[job] {
                     return; // join keys are unique per visible snapshot
                 }
-                scratch.clear();
-                if assist.access.fetch(pid, snap, &mut scratch) {
+                fetched.clear();
+                if assist.access.fetch(pid, snap, fetched) {
                     found[job] = true;
-                    let base = job * width;
+                    let base = live[job] * width;
                     for (k, &pos) in assist.fill_pos.iter().enumerate() {
-                        buffer[base + pos] = scratch[k];
+                        buffer[base + pos] = fetched[k];
                     }
                 }
             });
-            for (m, f) in matched.iter_mut().zip(found.iter()) {
-                *m &= *f;
+            let mut kept = 0;
+            for job in 0..live.len() {
+                if found[job] {
+                    live[kept] = live[job];
+                    kept += 1;
+                }
             }
+            live.truncate(kept);
         }
+        let naggs = self.plan.aggs.len().max(1);
+        deltas.clear();
+        deltas.resize(naggs, 0);
         if self.batch.enabled && matches!(self.sink, StageSink::Agg(_)) {
             // Batch-grouped aggregate update: pack the group key and
             // evaluate the aggregate deltas for the whole surviving block
@@ -970,13 +1024,9 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
             // sorted keys, so consecutive survivors usually share a group
             // and collapse into a single index probe. Sums are commutative,
             // so the aggregate is byte-identical to per-row merging.
-            let naggs = self.plan.aggs.len().max(1);
-            let mut packed: Vec<u64> = Vec::with_capacity(n);
-            let mut block: Vec<i64> = Vec::with_capacity(n * naggs);
-            for (r, &keep) in matched.iter().enumerate() {
-                if !keep {
-                    continue;
-                }
+            packed.clear();
+            block.clear();
+            for &r in live.iter() {
                 let row = &self.buffer[r * width..(r + 1) * width];
                 packed.push(self.plan.group_key.pack(row));
                 for a in &self.plan.aggs {
@@ -989,7 +1039,7 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
             let StageSink::Agg(agg) = &mut self.sink else {
                 unreachable!("checked above");
             };
-            let mut acc = vec![0i64; naggs];
+            let acc = deltas;
             let mut i = 0usize;
             while i < packed.len() {
                 let key = packed[i];
@@ -1001,33 +1051,28 @@ impl<'a, 'p, 'g> StageRun<'a, 'p, 'g> {
                     }
                     j += 1;
                 }
-                agg.merge(key, &acc);
+                agg.merge(key, acc);
                 i = j;
             }
             self.buffer.clear();
             self.rows = 0;
             return;
         }
-        let mut out_row: Vec<u64> = Vec::with_capacity(self.stage.output_projection.len());
-        let mut deltas: Vec<i64> = vec![0i64; self.plan.aggs.len().max(1)];
-        for (r, &keep) in matched.iter().enumerate() {
-            if !keep {
-                continue;
-            }
+        for &r in live.iter() {
             let row = &self.buffer[r * width..(r + 1) * width];
             match &mut self.sink {
                 StageSink::Inter(out) => {
                     let key = row[self.stage.output_key_pos];
                     out_row.clear();
                     out_row.extend(self.stage.output_projection.iter().map(|&p| row[p]));
-                    out.insert(key, &out_row);
+                    out.insert(key, out_row);
                 }
                 StageSink::Agg(agg) => {
                     let key = self.plan.group_key.pack(row);
                     for (ai, a) in self.plan.aggs.iter().enumerate() {
                         deltas[ai] = a.eval(row);
                     }
-                    agg.merge(key, &deltas);
+                    agg.merge(key, deltas);
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! results as the reference oracle for every SSB query, under every plan
 //! option combination — composed operators are pure optimizations.
 
-use qppt_core::{prepare_indexes, PlanOptions, QpptEngine};
+use qppt_core::{prepare_indexes, ExecStats, PlanOptions, QpptEngine};
 use qppt_ssb::{queries, run_reference, SsbDb};
 use qppt_storage::QueryResult;
 
@@ -97,14 +97,33 @@ fn select_join_on_off_agree() {
 
 #[test]
 fn all_join_buffer_sizes_agree() {
+    // The join buffer only batches the assisting-index probes, so every
+    // buffer size must give the same result and the same per-operator
+    // output cardinalities, in both execution modes.
     let base = PlanOptions::default();
     let ssb = prepared_db(0.01, 11, &base);
     let engine = QpptEngine::new(&ssb.db);
-    for q in [queries::q2_3(), queries::q4_1(), queries::q1_1()] {
-        let reference = engine.run(&q, &base.with_join_buffer(1)).unwrap();
-        for buf in PlanOptions::JOIN_BUFFER_CHOICES {
-            let got = engine.run(&q, &base.with_join_buffer(buf)).unwrap();
-            assert_same(&got, &reference, &format!("{} join_buffer={buf}", q.id));
+    let shape = |stats: &ExecStats| -> Vec<(usize, usize)> {
+        stats
+            .ops
+            .iter()
+            .map(|o| (o.out_keys, o.out_tuples))
+            .collect()
+    };
+    for q in queries::all_queries() {
+        for batch in [false, true] {
+            let opts = base.with_batch_exec(batch);
+            let (reference, ref_stats) = engine
+                .run_with_stats(&q, &opts.with_join_buffer(1))
+                .unwrap();
+            for buf in PlanOptions::JOIN_BUFFER_CHOICES {
+                let ctx = format!("{} join_buffer={buf} batch={batch}", q.id);
+                let (got, stats) = engine
+                    .run_with_stats(&q, &opts.with_join_buffer(buf))
+                    .unwrap();
+                assert_same(&got, &reference, &ctx);
+                assert_eq!(shape(&stats), shape(&ref_stats), "{ctx}: operator outputs");
+            }
         }
     }
 }

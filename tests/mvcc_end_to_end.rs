@@ -2,8 +2,12 @@
 //! catalog (with index maintenance) must be visible exactly to the right
 //! snapshots on every engine.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use qppt::columnar::{ColumnAtATimeEngine, ColumnDb, VectorAtATimeEngine};
 use qppt::core::{prepare_indexes, PlanOptions, QpptEngine};
+use qppt::par::{PooledEngine, WorkerPool};
 use qppt::ssb::{queries, run_reference, SsbDb};
 use qppt::storage::Value;
 
@@ -143,4 +147,136 @@ fn update_moves_a_tuple_between_groups() {
     let oracle_new = run_reference(&ssb.db, &q, s1).unwrap().canonicalized();
     let got_new = engine.run_at(&q, &opts, s1).unwrap().0.canonicalized();
     assert_eq!(got_new, oracle_new, "post-update snapshot matches oracle");
+}
+
+/// Replaces row `rid` of `table` by a copy with `changes` applied
+/// (delete + insert through the MVCC API), so the old and the new version
+/// share the join key and both sit under it in the base index.
+fn update_row(ssb: &mut SsbDb, table: &str, rid: u32, changes: &[(&str, Value)]) {
+    let new_row: Vec<Value> = {
+        let t = ssb.db.table(table).unwrap().table();
+        let mut row: Vec<Value> = (0..t.schema().width()).map(|c| t.value(rid, c)).collect();
+        for (col, v) in changes {
+            row[t.schema().col(col).unwrap()] = v.clone();
+        }
+        row
+    };
+    ssb.db.delete_row(table, rid).unwrap();
+    ssb.db.insert_row(table, &new_row).unwrap();
+}
+
+/// The value of column `col` in row `rid` of `table`.
+fn column_of(ssb: &SsbDb, table: &str, col: &str, rid: u32) -> Value {
+    let t = ssb.db.table(table).unwrap().table();
+    t.value(rid, t.schema().col(col).unwrap())
+}
+
+/// Maps every `key` value of `table` to its `col` value.
+fn key_to(ssb: &SsbDb, table: &str, key: &str, col: &str) -> BTreeMap<Value, Value> {
+    let t = ssb.db.table(table).unwrap().table();
+    let (k, c) = (t.schema().col(key).unwrap(), t.schema().col(col).unwrap());
+    (0..t.row_count() as u32)
+        .map(|r| (t.value(r, k), t.value(r, c)))
+        .collect()
+}
+
+#[test]
+fn assisting_dimension_versions_fill_from_the_visible_version() {
+    // Q4.1 probes `date` through its base index and `supplier` through a
+    // materialized σ as assisting dimensions; Q3.1 probes both as
+    // materialized σs carrying the updated columns. After an update each
+    // key has two versions, and the join buffer must fill a row from the
+    // one version visible at the query's snapshot — under the surviving-row
+    // compaction between assists — on every engine and execution mode.
+    let mut ssb = SsbDb::generate(0.01, 57);
+    let (q41, q31) = (queries::q4_1(), queries::q3_1());
+    let opts = PlanOptions::default();
+    prepare_indexes(&mut ssb.db, &q41, &opts).unwrap();
+    prepare_indexes(&mut ssb.db, &q31, &opts).unwrap();
+    let s0 = ssb.db.snapshot();
+
+    // Move the first AMERICA supplier to ASIA: it leaves Q4.1 and joins
+    // Q3.1 under a new nation.
+    let supp_rid = {
+        let supp = ssb.db.table("supplier").unwrap().table();
+        let region = supp.schema().col("s_region").unwrap();
+        (0..supp.row_count() as u32)
+            .find(|&r| supp.value(r, region) == Value::str("AMERICA"))
+            .expect("some supplier is in AMERICA")
+    };
+    let moved_supp = column_of(&ssb, "supplier", "s_suppkey", supp_rid);
+
+    // Shift the year of the order date of a fact row Q4.1 keeps at both
+    // snapshots, so the date version that fills it decides its group.
+    let c_region = key_to(&ssb, "customer", "c_custkey", "c_region");
+    let s_region = key_to(&ssb, "supplier", "s_suppkey", "s_region");
+    let mfgr = key_to(&ssb, "part", "p_partkey", "p_mfgr");
+    let order_date = {
+        let lo = ssb.db.table("lineorder").unwrap().table();
+        let col = |name| lo.schema().col(name).unwrap();
+        let (cust, supp, part, date) = (
+            col("lo_custkey"),
+            col("lo_suppkey"),
+            col("lo_partkey"),
+            col("lo_orderdate"),
+        );
+        let america = Value::str("AMERICA");
+        (0..lo.row_count() as u32)
+            .find(|&r| {
+                let s = lo.value(r, supp);
+                s != moved_supp
+                    && c_region[&lo.value(r, cust)] == america
+                    && s_region[&s] == america
+                    && [Value::str("MFGR#1"), Value::str("MFGR#2")]
+                        .contains(&mfgr[&lo.value(r, part)])
+            })
+            .map(|r| lo.value(r, date))
+            .expect("Q4.1 keeps some fact row")
+    };
+    let date_rid = {
+        let date = ssb.db.table("date").unwrap().table();
+        let key = date.schema().col("d_datekey").unwrap();
+        (0..date.row_count() as u32)
+            .find(|&r| date.value(r, key) == order_date)
+            .expect("the order date exists")
+    };
+    let Value::Int(year) = column_of(&ssb, "date", "d_year", date_rid) else {
+        panic!("d_year is an Int column");
+    };
+    let new_year = Value::Int(if year == 1997 { 1996 } else { year + 1 });
+    update_row(&mut ssb, "date", date_rid, &[("d_year", new_year)]);
+    update_row(
+        &mut ssb,
+        "supplier",
+        supp_rid,
+        &[
+            ("s_region", Value::str("ASIA")),
+            ("s_nation", Value::str("CHINA")),
+        ],
+    );
+    let s1 = ssb.db.snapshot();
+
+    let db = Arc::new(ssb.db);
+    let engine = QpptEngine::new(&db);
+    let pool = WorkerPool::new(2, 4);
+    let pooled = PooledEngine::new(db.clone(), pool.clone());
+    for q in [&q41, &q31] {
+        let before = run_reference(&db, q, s0).unwrap().canonicalized();
+        let after = run_reference(&db, q, s1).unwrap().canonicalized();
+        assert_ne!(before, after, "{}: the updates must move its groups", q.id);
+        for (snap, oracle) in [(s0, &before), (s1, &after)] {
+            for batch in [false, true] {
+                let o = opts.with_batch_exec(batch);
+                let seq = engine.run_at(q, &o, snap).unwrap().0.canonicalized();
+                assert_eq!(&seq, oracle, "{} sequential batch={batch}", q.id);
+                let par = pooled
+                    .run_at(q, &o.with_parallelism(2), snap, 0)
+                    .unwrap()
+                    .0
+                    .canonicalized();
+                assert_eq!(&par, oracle, "{} pooled(2) batch={batch}", q.id);
+            }
+        }
+    }
+    pool.shutdown();
 }
